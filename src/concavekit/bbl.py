@@ -16,24 +16,27 @@ undershoot the true sup, so the left side carries an O(h) downward bias;
 the tolerance is calibrated from the same computation at half resolution
 (which doubles that bias), plus the matching mass-quadrature bias on the
 right side.
+
+Each grid row's maximizing pair is found with a float64 key that increases
+with M_ell (log M_ell for finite ell, max/min at ell = +/-inf); ``mean_p``
+then runs once per row, on that pair.  So every reported value comes from
+``mean_p`` in extended precision, and a near-tie the key misorders costs a
+few ulps of the sup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .convolve import ResolutionError
 from .fields import ScalarField
-from .geometry import ConvexBody, NotRepresentableError, minkowski_combine
-from .means import bbl_exponent, mean_p
+from .geometry import NotRepresentableError, midpoint_grid, minkowski_combine
+from .means import _P_GEOMETRIC, bbl_exponent, mean_p
 
 __all__ = ["BBLInstance", "BBLReport", "sup_convolution", "verify_bbl", "instance_from_json"]
-
-
-class ResolutionError(RuntimeError):
-    """The grid is too coarse to see the sup-convolution where it is positive."""
 
 
 @dataclass(frozen=True)
@@ -88,30 +91,34 @@ class BBLReport:
         return self.margin >= -self.tolerance
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "mass0": self.mass0,
-            "mass1": self.mass1,
-            "marginal_exponent": self.marginal_exponent,
-            "grid_points": self.grid_points,
-        }
+        return asdict(self)
 
 
-def _support_grid(body: ConvexBody, ppa: int):
-    lo, hi = body.bounding_box()
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(body.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    cell = float(np.prod((hi - lo) / ppa))
-    return pts, cell
+def _log_mean_key(ell: float, a, b, lam: float) -> np.ndarray:
+    """Float64 key increasing in M_ell(a, b; lam) for a > 0; -inf where b == 0.
+
+    For finite ell it is log M_ell = (hi + log1p(w expm1(-|x - y|))) / ell with
+    x = ell log a, y = ell log b, hi = max(x, y), w the weight of the smaller
+    term: raw powers s**ell underflow and tie at large |ell|, and a log-sum-exp
+    of log(1-lam) + x, log(lam) + y loses eps/|ell| of resolution at small |ell|.
+    """
+    if math.isinf(ell):
+        key = np.maximum(a, b) if ell > 0 else np.minimum(a, b)
+    else:
+        with np.errstate(divide="ignore"):
+            la, lb = np.log(a), np.log(b)
+        if abs(ell) < _P_GEOMETRIC:
+            key = (1 - lam) * la + lam * lb
+        else:
+            x, y = ell * la, ell * lb
+            w = np.where(x >= y, lam, 1 - lam)
+            key = (np.maximum(x, y) + np.log1p(w * np.expm1(-np.abs(x - y)))) / ell
+    return np.where(b > 0, key, -np.inf)
 
 
 def _sup_grid(inst: BBLInstance, Y: np.ndarray, ppa: int) -> np.ndarray:
-    """Vectorized grid sup-convolution at the rows of Y."""
-    y0, _ = _support_grid(inst.f0.support, ppa)
+    """Grid sup-convolution at the rows of Y: ``mean_p`` on each row's top-ranked pair."""
+    y0, _ = midpoint_grid(*inst.f0.support.bounding_box(), ppa)
     v0 = inst.f0(y0)
     pos = v0 > 0
     y0, v0 = y0[pos], v0[pos]
@@ -120,8 +127,10 @@ def _sup_grid(inst: BBLInstance, Y: np.ndarray, ppa: int) -> np.ndarray:
     # y1 determined by the decomposition y = (1-lam) y0 + lam y1
     y1 = (Y[:, None, :] - (1 - inst.lam) * y0[None, :, :]) / inst.lam
     v1 = inst.f1(y1.reshape(-1, inst.dim)).reshape(len(Y), len(y0))
-    vals = mean_p(inst.ell, np.broadcast_to(v0, v1.shape), v1, inst.lam)
-    return vals.max(axis=1)
+    if not (np.isfinite(v1).all() and (v1 >= 0).all()):
+        raise ValueError("mean operands must be nonnegative reals")
+    best = _log_mean_key(inst.ell, v0, v1, inst.lam).argmax(axis=1)
+    return mean_p(inst.ell, v0[best], v1[np.arange(len(Y)), best], inst.lam)
 
 
 def sup_convolution(inst: BBLInstance, y) -> float:
@@ -158,16 +167,12 @@ def _is_indicator_like(inst: BBLInstance) -> bool:
 def _lhs_and_masses(inst: BBLInstance, ppa: int):
     lo0, hi0 = inst.f0.support.bounding_box()
     lo1, hi1 = inst.f1.support.bounding_box()
-    lo = (1 - inst.lam) * lo0 + inst.lam * lo1
-    hi = (1 - inst.lam) * hi0 + inst.lam * hi1
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(inst.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Y = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    cell = float(np.prod((hi - lo) / ppa))
+    lam = inst.lam
+    Y, cell = midpoint_grid((1 - lam) * lo0 + lam * lo1, (1 - lam) * hi0 + lam * hi1, ppa)
     lhs = float(_sup_grid(inst, Y, ppa).sum() * cell)
 
     def mass(f):
-        pts, c = _support_grid(f.support, ppa)
+        pts, c = midpoint_grid(*f.support.bounding_box(), ppa)
         return float(f(pts).sum() * c)
 
     return lhs, mass(inst.f0), mass(inst.f1)

@@ -228,12 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "BBL verification, and unique-maximum search",
     )
     ap.add_argument("--version", action="version", version=f"concavekit {__version__}")
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="reserved worker-count flag; evaluation is vectorized in-process",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("means", help="power-mean and exponent arithmetic")

@@ -29,7 +29,7 @@ from .fields import (
     ScalarField,
     SpaceTimeField,
 )
-from .geometry import Ball, Box, ConvexBody, Interval, Polytope
+from .geometry import Ball, Box, ConvexBody, Interval, Polytope, midpoint_grid
 from .sampling import make_rng
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 
 
 class ResolutionError(RuntimeError):
-    """The quadrature error estimate exceeded the requested budget."""
+    """A quadrature or sup-convolution grid is too coarse for the answer asked of it."""
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,6 @@ class ConvolutionResult:
         return {"value": self.value, "est_error": self.est_error}
 
 
-def _midpoint_grid(support: ConvexBody, ppa: int):
-    lo, hi = support.bounding_box()
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(support.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    cell = float(np.prod((hi - lo) / ppa))
-    return pts, cell
-
-
 def _boundary_measure(support: ConvexBody) -> float:
     """Surface measure of the support boundary (0 for grid-aligned boxes)."""
     if isinstance(support, (Interval, Box)):
@@ -124,7 +115,7 @@ def _boundary_measure(support: ConvexBody) -> float:
 
 
 def _tensor_value(integrand, support: ConvexBody, ppa: int) -> float:
-    pts, cell = _midpoint_grid(support, ppa)
+    pts, cell = midpoint_grid(*support.bounding_box(), ppa)
     mask = support.contains_many(pts)
     if not mask.any():
         return 0.0
@@ -162,7 +153,7 @@ def convolve_at(
         if surface > 0.0:
             lo, hi = support.bounding_box()
             h = float(np.max((hi - lo) / ppa))
-            pts, _ = _midpoint_grid(support, max(8, ppa // 4))
+            pts, _ = midpoint_grid(lo, hi, max(8, ppa // 4))
             mask = support.contains_many(pts)
             peak = float(integrand(pts[mask]).max()) if mask.any() else 0.0
             est += surface * h * peak

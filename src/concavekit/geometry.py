@@ -46,6 +46,7 @@ __all__ = [
     "check_parabolic_convexity",
     "body_from_json",
     "body_to_json",
+    "midpoint_grid",
 ]
 
 _MEMBERSHIP_TOL = 1e-12
@@ -57,6 +58,15 @@ class NotRepresentableError(ValueError):
     Callers that only need support values can fall back to
     ``support_of_combination``.
     """
+
+
+def midpoint_grid(lo, hi, ppa: int):
+    """(midpoints of shape (ppa**n, n), cell volume) of [lo, hi] cut into ppa cells per axis."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(len(lo))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return pts, float(np.prod((hi - lo) / ppa))
 
 
 class ConvexBody:

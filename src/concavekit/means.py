@@ -284,8 +284,5 @@ def check_product_inequality(p, q, a, b, c, d, lam) -> ProductCheck:
     """Evaluate the Holder product inequality at one query point."""
     p = as_exponent(p)
     q = as_exponent(q)
-    ell = holder_exponent(p, q)
-    lhs = mean_p(p, a, b, lam) * mean_p(q, c, d, lam)
-    rhs = mean_p(ell, a * c, b * d, lam)
-    margin = product_inequality_margin(p, q, a, b, c, d, lam)
-    return ProductCheck(margin=margin, lhs=lhs, rhs=rhs, ell=ell)
+    margin, lhs, rhs = product_inequality_margin(p, q, a, b, c, d, lam, with_parts=True)
+    return ProductCheck(margin=margin, lhs=lhs, rhs=rhs, ell=holder_exponent(p, q))

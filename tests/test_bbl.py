@@ -1,8 +1,19 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from concavekit.bbl import BBLInstance, instance_from_json, sup_convolution, verify_bbl
+from concavekit import bbl, convolve
+from concavekit.bbl import (
+    BBLInstance,
+    _log_mean_key,
+    _sup_grid,
+    instance_from_json,
+    sup_convolution,
+    verify_bbl,
+)
 from concavekit.convolve import oracle_W_interval
 from concavekit.fields import (
     GaussWeierstrassKernel,
@@ -12,11 +23,12 @@ from concavekit.fields import (
     PullbackField,
     TentField,
 )
-from concavekit.geometry import Box, Interval
+from concavekit.geometry import Box, Interval, midpoint_grid
 from concavekit.means import holder_exponent, mean_p
 from concavekit.sampling import make_rng
 
 INF = math.inf
+EPS = np.finfo(float).eps
 
 
 def interval_instance(ell=0.0, lam=0.5, grid=512):
@@ -46,6 +58,132 @@ class TestSupConvolution:
             0.5,
         )
         assert sup_convolution(inst, [1.5]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def data_field(kind, body):
+    if kind == "indicator":
+        return IndicatorField(body)
+    if kind == "tent":
+        return TentField(body)
+    return ProductField([GaussWeierstrassSlice(body.dim, 0.7), IndicatorField(body)])
+
+
+def padded_rows(inst, ppa):
+    """Grid over the support combination box, widened so its outer rows see f1 = 0 only."""
+    lo0, hi0 = inst.f0.support.bounding_box()
+    lo1, hi1 = inst.f1.support.bounding_box()
+    lo = (1 - inst.lam) * lo0 + inst.lam * lo1
+    hi = (1 - inst.lam) * hi0 + inst.lam * hi1
+    pad = 0.25 * (hi - lo)
+    return midpoint_grid(lo - pad, hi + pad, ppa)[0]
+
+
+def pair_values(inst, Y, ppa):
+    """f0 on its positive grid nodes, and f1 at the partner of every (row, node) pair."""
+    y0, _ = midpoint_grid(*inst.f0.support.bounding_box(), ppa)
+    v0 = inst.f0(y0)
+    y0, v0 = y0[v0 > 0], v0[v0 > 0]
+    y1 = (Y[:, None, :] - (1 - inst.lam) * y0[None, :, :]) / inst.lam
+    return v0, inst.f1(y1.reshape(-1, inst.dim)).reshape(len(Y), len(y0))
+
+
+def brute_pair_means(inst, Y, ppa):
+    """Reference: mean_p on every pair; the sup-convolution is the row max."""
+    v0, v1 = pair_values(inst, Y, ppa)
+    return mean_p(inst.ell, np.broadcast_to(v0, v1.shape), v1, inst.lam)
+
+
+RANK_ELLS = {
+    "-1/n": lambda n: -1.0 / n,
+    "-1/(2n)": lambda n: -0.5 / n,
+    "1e-13": lambda n: 1e-13,
+    "0": lambda n: 0.0,
+    "1": lambda n: 1.0,
+    "400": lambda n: 400.0,
+    "inf": lambda n: INF,
+    "-inf": lambda n: -INF,
+}
+
+
+class TestSupGridRanking:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["indicator", "tent", "gauss_indicator"])
+    @pytest.mark.parametrize("ell", list(RANK_ELLS))
+    def test_matches_brute_force(self, ell, kind, dim):
+        if dim == 1:
+            b0, b1 = Interval(-0.5, 1.0), Interval(0.25, 2.0)
+        else:
+            b0, b1 = Box([-0.5, 0.0], [0.5, 1.25]), Box([0.0, -0.75], [1.5, 0.5])
+        inst = BBLInstance(
+            data_field(kind, b0), data_field(kind, b1), RANK_ELLS[ell](dim), 0.35,
+            96 if dim == 1 else 144,
+        )
+        ppa = inst.points_per_axis
+        Y = padded_rows(inst, ppa)
+        vals = brute_pair_means(inst, Y, ppa)
+        ref = vals.max(axis=1)
+        assert (ref == 0).any() and (ref > 0).any()
+        if kind == "indicator":
+            # every positive pair has the same mean: the rows are exact ties
+            assert (vals == ref[:, None]).sum(axis=1).max() > 1
+        np.testing.assert_allclose(_sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+
+    def test_large_exponent_ranks_without_underflow(self):
+        # raw powers s**400 underflow to 0 below s = 0.17 and tie there, so
+        # ranking by them picks wrong pairs on this instance
+        inst = BBLInstance(TentField(Interval(0, 1)), TentField(Interval(2, 4)), 400.0, 0.5, 256)
+        ppa = inst.points_per_axis
+        Y = padded_rows(inst, ppa)
+        v0, v1 = pair_values(inst, Y, ppa)
+        ref = mean_p(400.0, np.broadcast_to(v0, v1.shape), v1, 0.5).max(axis=1)
+        np.testing.assert_allclose(_sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+        raw = np.where(v1 > 0, v0**400 + v1**400, -1.0).argmax(axis=1)
+        raw_sup = mean_p(400.0, v0[raw], v1[np.arange(len(Y)), raw], 0.5)
+        assert np.abs(raw_sup - ref).max() > 1e-3 * ref.max()
+
+    @given(
+        lam=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        ell=st.one_of(
+            st.sampled_from([-1.0, -0.5, 1e-13, 0.0, 1.0, 400.0, INF, -INF]),
+            st.floats(-1.0, 500.0),
+        ),
+    )
+    @example(lam=0.5, ell=400.0)
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_brute_force(self, lam, ell):
+        inst = BBLInstance(TentField(Interval(0, 1)), TentField(Interval(2, 4)), ell, lam, 64)
+        ppa = inst.points_per_axis
+        Y = padded_rows(inst, ppa)
+        ref = brute_pair_means(inst, Y, ppa).max(axis=1)
+        np.testing.assert_allclose(_sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("ell", [1e-13, 1e-9, 1e-6])
+    def test_key_resolves_near_ties_at_small_exponents(self, ell):
+        # geometric means equal to within 1e-12 relative.  A log-sum-exp key
+        # cancels the log-weights to ell * log M and cannot order these, and
+        # below the geometric cutoff only the geometric key ranks as mean_p does
+        rng = make_rng(62)
+        lam = 0.37
+        a = np.exp(rng.uniform(-7.0, 7.0, 64))
+        log_target = rng.uniform(-1e-12, 1e-12, (16, 64))
+        b = np.exp((log_target - (1 - lam) * np.log(a)) / lam)
+        rows = np.arange(16)
+        best = _log_mean_key(ell, a, b, lam).argmax(axis=1)
+        ref = mean_p(ell, np.broadcast_to(a, b.shape), b, lam).max(axis=1)
+        got = mean_p(ell, a[best], b[rows, best], lam)
+        np.testing.assert_allclose(got, ref, rtol=4 * EPS, atol=0)
+
+    def test_negative_field_values_rejected(self):
+        class Dip(TentField):
+            def _eval(self, P):
+                return super()._eval(P) - 0.5
+
+        inst = BBLInstance(TentField(Interval(0, 1)), Dip(Interval(2, 4)), 1.0, 0.5, 64)
+        with pytest.raises(ValueError):
+            verify_bbl(inst)
+
+    def test_one_resolution_error_class(self):
+        assert bbl.ResolutionError is convolve.ResolutionError
 
 
 class TestVerify:
