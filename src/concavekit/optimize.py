@@ -11,17 +11,23 @@ Objectives may return a bare value or a (value, error-estimate) pair; line
 searches stop refining once bracket differences drop below five times the
 local error estimate, so quadrature-backed objectives are never chased
 inside their own noise.
+
+The starts of a field objective advance in lockstep: each round evaluates the
+field once, on one point per unfinished start.  Any other callable is called
+once per point, one start after another.  Either way each start follows the
+trajectory it has alone, since a field's values do not depend on the batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convolve import oracle_P_interval
-from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox
+from .convolve import PoissonIndicatorField
+from .fields import ScalarField, SpaceTimeField
+from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox, body_from_json
 
 __all__ = [
     "MaxProblem",
@@ -46,8 +52,9 @@ class MaxProblem:
     ``feasible`` is a :class:`ConvexBody` (axes may be degenerate, e.g. a
     vertical segment as a zero-width box), a :class:`SpaceTimeBox`, or a
     :class:`ParabolicRegion`; space-time sets are treated as bodies in
-    R^{n+1} with t as the last coordinate.  ``objective`` maps a point to a
-    value or to a (value, est_error) pair.
+    R^{n+1} with t as the last coordinate.  ``objective`` is a field, whose
+    ``eval_with_error`` gets a batch of points per round, or a callable that
+    maps one point to a value or to a (value, est_error) pair.
     """
 
     objective: object
@@ -74,14 +81,7 @@ class MaxResult:
     unique: bool
 
     def to_json(self) -> dict:
-        return {
-            "argmax": self.argmax.tolist(),
-            "value": self.value,
-            "starts_converged": self.starts_converged,
-            "max_pairwise_spread": self.max_pairwise_spread,
-            "evaluations": self.evaluations,
-            "unique": self.unique,
-        }
+        return {**asdict(self), "argmax": self.argmax.tolist()}
 
 
 class _Feasible:
@@ -183,38 +183,24 @@ class _Feasible:
         return out[0], out[1]
 
 
-class _Objective:
-    """Normalizes bare-value and (value, error) objectives; counts calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, z):
-        self.calls += 1
-        out = self.fn(np.asarray(z, dtype=float))
-        if isinstance(out, tuple):
-            return float(out[0]), float(out[1])
-        return float(out), 0.0
-
-
-def _golden_max(f, a: float, b: float, tol: float):
+def _golden_max(point, a: float, b: float, tol: float):
     """Golden-section maximization on [a, b]; returns (s*, value, error).
 
-    Probes that tie (exactly, or within five times their error estimates)
-    pinch the bracket from both ends: for a unimodal restriction the maximum
-    lies between two equal-valued points.  Persistent noise-level ties end
-    the search, so quadrature-backed objectives are not resolved inside
-    their own noise floor.
+    A generator: yields ``point(s)`` per probe s and is sent its (value,
+    error).  Probes that tie (exactly, or within five times their error
+    estimates) pinch the bracket from both ends: for a unimodal restriction
+    the maximum lies between two equal-valued points.  Persistent
+    noise-level ties end the search, so quadrature-backed objectives are
+    not resolved inside their own noise floor.
     """
     if b - a <= tol:
         s = 0.5 * (a + b)
-        v, e = f(s)
+        v, e = yield point(s)
         return s, v, e
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, ec = f(c)
-    fd, ed = f(d)
+    fc, ec = yield point(c)
+    fd, ed = yield point(d)
     steps = int(math.ceil(math.log(tol / (b - a)) / math.log(_INVPHI)))
     stalls = 0
     for _ in range(max(2 * steps, 2)):
@@ -228,8 +214,8 @@ def _golden_max(f, a: float, b: float, tol: float):
                 break
             c = b - _INVPHI * (b - a)
             d = a + _INVPHI * (b - a)
-            fc, ec = f(c)
-            fd, ed = f(d)
+            fc, ec = yield point(c)
+            fd, ed = yield point(d)
             if noise > 0:
                 # refining stopped paying: the bracket is a noise plateau
                 stalls = stalls + 1 if max(fc, fd) - prev_best <= noise else 0
@@ -238,20 +224,20 @@ def _golden_max(f, a: float, b: float, tol: float):
         elif fc > fd:
             b, d, fd, ed = d, c, fc, ec
             c = b - _INVPHI * (b - a)
-            fc, ec = f(c)
+            fc, ec = yield point(c)
         else:
             a, c, fc, ec = c, d, fd, ed
             d = a + _INVPHI * (b - a)
-            fd, ed = f(d)
+            fd, ed = yield point(d)
     if fc > fd:
         return c, fc, ec
     return d, fd, ed
 
 
-def _ascend(obj, feas: _Feasible, z0: np.ndarray, prob: MaxProblem):
-    """Cyclic coordinate ascent with golden-section line searches."""
+def _ascend(feas: _Feasible, z0: np.ndarray, prob: MaxProblem):
+    """Cyclic coordinate ascent with golden-section line searches (a generator)."""
     z = z0.copy()
-    val, err = obj(z)
+    val, err = yield z
     converged = False
     for _ in range(prob.max_cycles):
         move = 0.0
@@ -260,20 +246,52 @@ def _ascend(obj, feas: _Feasible, z0: np.ndarray, prob: MaxProblem):
             if s_hi - s_lo <= 0:
                 continue
 
-            def line(s, axis=axis):
+            def point(s, axis=axis):
                 w = z.copy()
                 w[axis] += s
-                return obj(w)
+                return w
 
-            s, v, e = _golden_max(line, s_lo, s_hi, prob.tolerance)
+            s, v, e = yield from _golden_max(point, s_lo, s_hi, prob.tolerance)
             if v >= val:  # accept only ascent steps
                 z[axis] += s
+                if v > val:  # an equal-valued step on a flat top is no movement
+                    move = max(move, abs(s))
                 val, err = v, e
-                move = max(move, abs(s))
         if move < prob.tolerance:
             converged = True
             break
     return z, val, err, converged
+
+
+def _evaluator(objective):
+    """Batch evaluation: an (m, dim) array of points -> m (value, error) pairs."""
+    if isinstance(objective, SpaceTimeField):
+        return lambda Z: zip(*objective.eval_with_error(Z[:, :-1], Z[:, -1]))
+    if isinstance(objective, ScalarField):
+        return lambda Z: zip(*objective.eval_with_error(Z))
+    return lambda Z: [out if isinstance(out, tuple) else (out, 0.0) for out in map(objective, Z)]
+
+
+def _lockstep(evaluate, runs: list, together: bool):
+    """Advance generator runs, one batch per round; (results, points evaluated).
+
+    A batch holds every unfinished run if ``together``, else only the first:
+    runs then go one after another, in the call order that a stateful
+    callable (a noisy simulation, say) may depend on.
+    """
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    evaluations = 0
+    while pending:
+        live = list(pending) if together else [min(pending)]
+        evaluations += len(live)
+        for i, (v, e) in zip(live, evaluate(np.array([pending[i] for i in live]))):
+            try:
+                pending[i] = runs[i].send((float(v), float(e)))
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results, evaluations
 
 
 def maximize(prob: MaxProblem) -> MaxResult:
@@ -284,14 +302,11 @@ def maximize(prob: MaxProblem) -> MaxResult:
     evidence of a non-strict objective or of noise-dominated evaluations.
     """
     feas = _Feasible(prob.feasible)
-    obj = _Objective(prob.objective)
     starts = feas.starts(prob.multistart, prob.seed)
-
-    finals = []
-    for z0 in starts:
-        z, v, e, ok = _ascend(obj, feas, z0, prob)
-        finals.append((z, v, ok))
-    converged = [(z, v) for z, v, ok in finals if ok]
+    runs = [_ascend(feas, z0, prob) for z0 in starts]
+    together = isinstance(prob.objective, (ScalarField, SpaceTimeField))
+    finals, evaluations = _lockstep(_evaluator(prob.objective), runs, together)
+    converged = [(z, v) for z, v, _, ok in finals if ok]
     if not converged:
         raise ConvergenceError("no start converged within the cycle cap")
 
@@ -307,7 +322,7 @@ def maximize(prob: MaxProblem) -> MaxResult:
         value=winner[1],
         starts_converged=len(converged),
         max_pairwise_spread=spread,
-        evaluations=obj.calls,
+        evaluations=evaluations,
         unique=spread <= 1e3 * prob.tolerance,
     )
 
@@ -329,17 +344,11 @@ def regiomontanus(a: float, b: float, constraint, **kw) -> MaxResult:
     if isinstance(constraint, Interval):
         # a bare t-range means observing from the t-axis
         constraint = (np.array([0.0, constraint.a]), np.array([0.0, constraint.b]))
-    if isinstance(constraint, tuple):
-        lo = constraint[0]
-    else:
-        lo, _ = constraint.bounding_box()
+    lo = constraint[0] if isinstance(constraint, tuple) else constraint.bounding_box()[0]
     if lo[-1] <= 0:
         raise ValueError("constraint must lie in the open upper half-plane t > 0")
 
-    def objective(z):
-        return oracle_P_interval(a, b, z[0], z[1])
-
-    prob = MaxProblem(objective=objective, feasible=constraint, **kw)
+    prob = MaxProblem(objective=PoissonIndicatorField(a, b), feasible=constraint, **kw)
     return maximize(prob)
 
 
@@ -351,24 +360,19 @@ def problem_from_json(data: dict) -> MaxProblem:
     descriptor), ``scalar_field``, and ``convolution`` (quadrature-backed
     Gamma with kernel "gw"/"poisson" and data field "psi").
     """
-    from .convolve import ConvolutionField, QuadratureSpec, oracle_W_interval
+    from .convolve import ConvolutionField, HeatIndicatorField, QuadratureSpec
     from .fields import GaussWeierstrassKernel, PoissonKernel, field_from_json
-    from .geometry import body_from_json
 
     spec = data["objective"]
     kind = spec.get("kind")
-    if kind == "oracle_w":
-        aa, bb = float(spec["a"]), float(spec["b"])
-        objective = lambda z: oracle_W_interval(aa, bb, z[0], z[1])
-    elif kind == "oracle_p":
-        aa, bb = float(spec["a"]), float(spec["b"])
-        objective = lambda z: oracle_P_interval(aa, bb, z[0], z[1])
-    elif kind == "spacetime_field":
-        fld = field_from_json(spec["field"])
-        objective = lambda z: fld(z[:-1], float(z[-1]))
-    elif kind == "scalar_field":
-        fld = field_from_json(spec["field"])
-        objective = lambda z: fld(z)
+    if kind in ("oracle_w", "oracle_p"):
+        oracle = HeatIndicatorField if kind == "oracle_w" else PoissonIndicatorField
+        objective = oracle(float(spec["a"]), float(spec["b"]))
+    elif kind in ("spacetime_field", "scalar_field"):
+        objective = field_from_json(spec["field"])
+        expected = SpaceTimeField if kind == "spacetime_field" else ScalarField
+        if not isinstance(objective, expected):
+            raise ValueError(f"{kind} needs a {expected.__name__} descriptor")
     elif kind == "convolution":
         psi = field_from_json(spec["psi"])
         kernel = (
@@ -376,9 +380,7 @@ def problem_from_json(data: dict) -> MaxProblem:
             if spec.get("kernel", "gw") == "gw"
             else PoissonKernel(psi.dim)
         )
-        quad = QuadratureSpec.default_for(psi.support)
-        gamma = ConvolutionField(kernel, psi, quad)
-        objective = lambda z: gamma.eval_with_error(z[:-1], float(z[-1]))
+        objective = ConvolutionField(kernel, psi, QuadratureSpec.default_for(psi.support))
     else:
         raise ValueError(f"unknown objective kind: {kind!r}")
 
@@ -389,8 +391,6 @@ def problem_from_json(data: dict) -> MaxProblem:
 
 def feasible_from_json(fspec: dict):
     """Feasible-set descriptor: a body, a space-time box, or a degenerate box."""
-    from .geometry import body_from_json
-
     if fspec.get("kind") == "spacetime_box":
         return SpaceTimeBox(
             body_from_json(fspec["body"]), float(fspec["t_lo"]), float(fspec["t_hi"])

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from concavekit.convolve import HeatIndicatorField, oracle_P_interval, oracle_W_interval
+from concavekit.convolve import (
+    ConvolutionField,
+    HeatIndicatorField,
+    PoissonIndicatorField,
+    QuadratureSpec,
+    oracle_P_interval,
+    oracle_W_interval,
+)
+from concavekit.fields import GaussWeierstrassKernel, IndicatorField
 from concavekit.geometry import Ball, Box, Interval, SpaceTimeBox
 from concavekit.optimize import MaxProblem, maximize, problem_from_json, regiomontanus
 
@@ -91,6 +99,109 @@ class TestMaximize:
         assert r.argmax[0] == pytest.approx(1.0, abs=1e-5)
 
 
+class TestLockstep:
+    """A field objective is evaluated once per round, on a batch of starts."""
+
+    PSI = IndicatorField(Interval(-0.5, 0.8))
+    CASES = {
+        "vertical_segment": (
+            lambda: PoissonIndicatorField(1.0, 4.0),
+            (np.array([0.0, 0.5]), np.array([0.0, 5.0])),
+            {},
+        ),
+        "box": (lambda: PoissonIndicatorField(1.0, 4.0), Box([-2.0, 0.5], [2.0, 3.0]), {}),
+        # starts on a ball stop at different cycles, so the batch shrinks
+        "ball": (lambda: PoissonIndicatorField(1.0, 4.0), Ball([1.0, 2.0], 1.0), {}),
+        "heat_kernel": (
+            lambda: GaussWeierstrassKernel(1),
+            SpaceTimeBox(Interval(-1.0, 2.0), 0.3, 2.0),
+            {"tolerance": 1e-6},
+        ),
+        "noisy_convolution": (
+            lambda: ConvolutionField(
+                GaussWeierstrassKernel(1),
+                TestLockstep.PSI,
+                QuadratureSpec.default_for(TestLockstep.PSI.support),
+            ),
+            SpaceTimeBox(Interval(-2.0, 2.0), 0.8, 2.3),
+            {"multistart": 3, "tolerance": 1e-6},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_pointwise_evaluation(self, case):
+        make, feasible, kw = self.CASES[case]
+        field = make()
+        evaluate = field.eval_with_error
+        sizes = []
+
+        def batch(X, T):
+            sizes.append(len(T))
+            return evaluate(X, T)
+
+        field.eval_with_error = batch  # still dispatched as a field
+        lockstep = maximize(MaxProblem(objective=field, feasible=feasible, **kw))
+        pointwise = maximize(
+            MaxProblem(
+                objective=lambda z: evaluate(z[:-1], float(z[-1])), feasible=feasible, **kw
+            )
+        )
+        assert np.array_equal(lockstep.argmax, pointwise.argmax)
+        assert lockstep.value == pointwise.value
+        assert lockstep.evaluations == pointwise.evaluations == sum(sizes)
+        assert lockstep.starts_converged == pointwise.starts_converged
+        assert lockstep.max_pairwise_spread == pointwise.max_pairwise_spread
+        assert sizes[0] == kw.get("multistart", 10)
+        assert sizes == sorted(sizes, reverse=True)
+        if case == "ball":
+            assert len(set(sizes)) > 2  # starts finished in different rounds
+
+    def test_callable_sees_one_start_after_another(self):
+        def recorded(multistart):
+            seen = []
+
+            def objective(z):
+                seen.append(z.copy())
+                return oracle_P_interval(1.0, 4.0, z[0], z[1])
+
+            box = Box([-2.0, 0.5], [2.0, 3.0])
+            maximize(MaxProblem(objective=objective, feasible=box, multistart=multistart))
+            return np.array(seen)
+
+        first, three = recorded(1), recorded(3)
+        assert np.array_equal(three[: len(first)], first)
+
+
+class TestFlatTop:
+    """Equal-valued steps must not keep a start from converging.
+
+    At the default tolerance 1e-8 the viewing angle is flat in double
+    precision over a wider range than the tolerance near its maximum.  These
+    instances raised ConvergenceError when such steps counted as movement.
+    """
+
+    def test_vertical_segment(self):
+        a, b = 0.3088280047659744, 2.4154792830563085
+        lo = np.array([0.0, 0.5330839743942315])
+        hi = np.array([0.0, 2.531193036355274])
+        r = regiomontanus(a, b, (lo, hi), seed=466491402)
+        assert r.argmax[0] == 0.0
+        assert r.argmax[1] == pytest.approx(math.sqrt(a * b), abs=1e-6)
+        assert r.unique
+
+    def test_box(self):
+        a, b = 1.2546373518552858, 1.8274952326482248
+        lo = [-0.9682472641667168, 0.4039021147057089]
+        hi = [0.14000515649353318, 3.424074655024391]
+        r = regiomontanus(a, b, Box(lo, hi), seed=863712969)
+        # the angle grows as x nears the segment, so the maximum lies on the
+        # edge x = hi[0], at the classical height of the shifted segment
+        x = hi[0]
+        assert r.argmax[0] == pytest.approx(x, abs=1e-6)
+        assert r.argmax[1] == pytest.approx(math.sqrt((a - x) * (b - x)), abs=1e-6)
+        assert r.unique
+
+
 class TestRegiomontanus:
     def test_classical_height(self):
         r = regiomontanus(1.0, 4.0, Interval(0.5, 5.0))
@@ -157,6 +268,16 @@ class TestProblemJson:
         r = maximize(prob)
         assert abs(r.argmax[0]) < 1e-3
         assert r.argmax[1] == pytest.approx(0.5, abs=1e-3)
+
+    def test_field_kind_must_match(self):
+        scalar = {"kind": "gaussian", "n": 2, "t": 1.0}
+        with pytest.raises(ValueError, match="SpaceTimeField"):
+            problem_from_json(
+                {
+                    "objective": {"kind": "spacetime_field", "field": scalar},
+                    "feasible": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 2]},
+                }
+            )
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
