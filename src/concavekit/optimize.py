@@ -12,16 +12,16 @@ searches stop refining once bracket differences drop below five times the
 local error estimate, so quadrature-backed objectives are never chased
 inside their own noise.
 
-The starts of a field objective advance in lockstep: each round evaluates the
-field once, on one point per unfinished start.  Any other callable is called
-once per point, one start after another.  Either way each start follows the
-trajectory it has alone, since a field's values do not depend on the batch.
+The starts advance in lockstep, one point per unfinished start per round: a
+field objective is evaluated once per round on the whole batch, any other
+callable once per point.  Each start follows the trajectory it has alone,
+since a pure objective's values do not depend on the batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,14 @@ class MaxResult:
     unique: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "argmax": self.argmax.tolist()}
+        return {
+            "argmax": self.argmax.tolist(),
+            "value": self.value,
+            "starts_converged": self.starts_converged,
+            "max_pairwise_spread": self.max_pairwise_spread,
+            "evaluations": self.evaluations,
+            "unique": self.unique,
+        }
 
 
 class _Feasible:
@@ -272,18 +279,13 @@ def _evaluator(objective):
     return lambda Z: [out if isinstance(out, tuple) else (out, 0.0) for out in map(objective, Z)]
 
 
-def _lockstep(evaluate, runs: list, together: bool):
-    """Advance generator runs, one batch per round; (results, points evaluated).
-
-    A batch holds every unfinished run if ``together``, else only the first:
-    runs then go one after another, in the call order that a stateful
-    callable (a noisy simulation, say) may depend on.
-    """
+def _lockstep(evaluate, runs: list):
+    """Advance generator runs, one batch per round; (results, points evaluated)."""
     pending = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     evaluations = 0
     while pending:
-        live = list(pending) if together else [min(pending)]
+        live = list(pending)
         evaluations += len(live)
         for i, (v, e) in zip(live, evaluate(np.array([pending[i] for i in live]))):
             try:
@@ -304,8 +306,7 @@ def maximize(prob: MaxProblem) -> MaxResult:
     feas = _Feasible(prob.feasible)
     starts = feas.starts(prob.multistart, prob.seed)
     runs = [_ascend(feas, z0, prob) for z0 in starts]
-    together = isinstance(prob.objective, (ScalarField, SpaceTimeField))
-    finals, evaluations = _lockstep(_evaluator(prob.objective), runs, together)
+    finals, evaluations = _lockstep(_evaluator(prob.objective), runs)
     converged = [(z, v) for z, v, _, ok in finals if ok]
     if not converged:
         raise ConvergenceError("no start converged within the cycle cap")
@@ -344,7 +345,10 @@ def regiomontanus(a: float, b: float, constraint, **kw) -> MaxResult:
     if isinstance(constraint, Interval):
         # a bare t-range means observing from the t-axis
         constraint = (np.array([0.0, constraint.a]), np.array([0.0, constraint.b]))
-    lo = constraint[0] if isinstance(constraint, tuple) else constraint.bounding_box()[0]
+    if isinstance(constraint, tuple):
+        lo = constraint[0]
+    else:
+        lo, _ = constraint.bounding_box()
     if lo[-1] <= 0:
         raise ValueError("constraint must lie in the open upper half-plane t > 0")
 
@@ -380,7 +384,8 @@ def problem_from_json(data: dict) -> MaxProblem:
             if spec.get("kernel", "gw") == "gw"
             else PoissonKernel(psi.dim)
         )
-        objective = ConvolutionField(kernel, psi, QuadratureSpec.default_for(psi.support))
+        quad = QuadratureSpec.default_for(psi.support)
+        objective = ConvolutionField(kernel, psi, quad)
     else:
         raise ValueError(f"unknown objective kind: {kind!r}")
 

@@ -156,21 +156,6 @@ class TestLockstep:
         if case == "ball":
             assert len(set(sizes)) > 2  # starts finished in different rounds
 
-    def test_callable_sees_one_start_after_another(self):
-        def recorded(multistart):
-            seen = []
-
-            def objective(z):
-                seen.append(z.copy())
-                return oracle_P_interval(1.0, 4.0, z[0], z[1])
-
-            box = Box([-2.0, 0.5], [2.0, 3.0])
-            maximize(MaxProblem(objective=objective, feasible=box, multistart=multistart))
-            return np.array(seen)
-
-        first, three = recorded(1), recorded(3)
-        assert np.array_equal(three[: len(first)], first)
-
 
 class TestFlatTop:
     """Equal-valued steps must not keep a start from converging.
