@@ -101,19 +101,40 @@ def _log_mean_key(ell: float, a, b, lam: float) -> np.ndarray:
     x = ell log a, y = ell log b, hi = max(x, y), w the weight of the smaller
     term: raw powers s**ell underflow and tie at large |ell|, and a log-sum-exp
     of log(1-lam) + x, log(lam) + y loses eps/|ell| of resolution at small |ell|.
+    ``a`` broadcasts against ``b``; the key is computed only where b > 0, in
+    place on those pairs.
     """
+    live = b > 0
+
+    def gather(v):
+        return np.broadcast_to(v, b.shape)[live]
+
+    y = b[live]
     if math.isinf(ell):
-        key = np.maximum(a, b) if ell > 0 else np.minimum(a, b)
+        (np.maximum if ell > 0 else np.minimum)(gather(a), y, out=y)
     else:
         with np.errstate(divide="ignore"):
-            la, lb = np.log(a), np.log(b)
+            la = np.log(a)
+        np.log(y, out=y)
         if abs(ell) < _P_GEOMETRIC:
-            key = (1 - lam) * la + lam * lb
+            y *= lam
+            y += gather((1 - lam) * la)
         else:
-            x, y = ell * la, ell * lb
+            x = gather(ell * la)
+            y *= ell
             w = np.where(x >= y, lam, 1 - lam)
-            key = (np.maximum(x, y) + np.log1p(w * np.expm1(-np.abs(x - y)))) / ell
-    return np.where(b > 0, key, -np.inf)
+            d = x - y
+            np.abs(d, out=d)
+            np.negative(d, out=d)
+            np.expm1(d, out=d)
+            d *= w
+            np.log1p(d, out=d)
+            np.maximum(x, y, out=y)
+            y += d
+            y /= ell
+    key = np.full(b.shape, -np.inf)
+    key[live] = y
+    return key
 
 
 def _sup_grid(inst: BBLInstance, Y: np.ndarray, ppa: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, ParabolicRegion, SpaceTimeBox
+from .geometry import ConvexBody, ParabolicRegion, SpaceTimeBox, row_norm
 from .means import mean_p
 from .sampling import SamplingError, make_rng
 
@@ -204,7 +204,7 @@ def check_p_concavity(
         raise SamplingError(
             "strictness demands positive values, but no sampled pair had them"
         )
-    sep = np.linalg.norm(x0 - x1, axis=1)
+    sep = row_norm(x0 - x1)
     sep_rel = sep / body.diameter()
     sep_ok = sep_rel >= cfg.sep_frac
 
@@ -390,7 +390,7 @@ def check_parabolic_p_concavity(
         )
 
     diam = domain.diameter()
-    sep = np.sqrt(np.linalg.norm(X0 - X1, axis=1) ** 2 + (T0 - T1) ** 2)
+    sep = np.sqrt(row_norm(X0 - X1) ** 2 + (T0 - T1) ** 2)
     sep_rel = sep / diam
     sep_ok = sep_rel >= cfg.sep_frac
     if mode == "almost_strict":
@@ -399,10 +399,8 @@ def check_parabolic_p_concavity(
         # separation in both the gate and the floor modulation
         r0 = _ray_positions(X0, T0, alpha)
         r1 = _ray_positions(X1, T1, alpha)
-        res = np.linalg.norm(r0 - r1, axis=1)
-        ray_scale = 1.0 + np.maximum(
-            np.linalg.norm(r0, axis=1), np.linalg.norm(r1, axis=1)
-        )
+        res = row_norm(r0 - r1)
+        ray_scale = 1.0 + np.maximum(row_norm(r0), row_norm(r1))
         sep_rel = res / ray_scale
         sep_ok = sep_rel >= cfg.sep_frac
 

@@ -142,7 +142,7 @@ class TentField(ScalarField):
         z = self.center
         body = self.body
         if isinstance(body, geometry.Ball) and np.allclose(z, body.center):
-            return np.linalg.norm(P - body.center, axis=1) / body.radius
+            return geometry.row_norm(P - body.center) / body.radius
         if isinstance(body, geometry.Interval):
             lo, hi = body.a, body.b
             x = P[:, 0]
@@ -150,7 +150,7 @@ class TentField(ScalarField):
         if isinstance(body, geometry.Box):
             up = (P - z) / (body.hi - z)
             dn = (z - P) / (z - body.lo)
-            return np.maximum(up, dn).max(axis=1)
+            return geometry.rowwise(np.maximum, np.maximum(up, dn, out=up))
         # generic body: bisection on membership along the ray from the anchor
         out = np.empty(len(P))
         for i, y in enumerate(P):
@@ -202,7 +202,7 @@ class GaussWeierstrassSlice(ScalarField):
         self.claimed_strict = True
 
     def _eval(self, P):
-        r2 = (P * P).sum(axis=1)
+        r2 = geometry.rowwise(np.add, P * P)
         return (4 * math.pi * self.t) ** (-self.dim / 2) * np.exp(-r2 / (4 * self.t))
 
 
@@ -219,7 +219,7 @@ class PoissonSlice(ScalarField):
         self.claimed_strict = True
 
     def _eval(self, P):
-        r2 = (P * P).sum(axis=1)
+        r2 = geometry.rowwise(np.add, P * P)
         return self._norm * (r2 + self.t**2) ** (-(self.dim + 1) / 2)
 
 
@@ -259,7 +259,7 @@ class RadialField(ScalarField):
             self.claimed_strict = True
 
     def _eval(self, P):
-        return self.profile(np.linalg.norm(P, axis=1))
+        return self.profile(geometry.row_norm(P))
 
 
 def radialize(profile: RadialProfile, n: int = 1) -> RadialField:
@@ -408,7 +408,7 @@ class GaussWeierstrassKernel(SpaceTimeField):
         self.claimed_mode = "almost_strict"
 
     def _eval(self, P, T):
-        r2 = (P * P).sum(axis=1)
+        r2 = geometry.rowwise(np.add, P * P)
         return (4 * math.pi * T) ** (-self.dim / 2) * np.exp(-r2 / (4 * T))
 
 
@@ -423,7 +423,7 @@ class PoissonKernel(SpaceTimeField):
         self.claimed_mode = "almost_strict"
 
     def _eval(self, P, T):
-        r2 = (P * P).sum(axis=1)
+        r2 = geometry.rowwise(np.add, P * P)
         return self._two_over_sigma * T * (r2 + T * T) ** (-(self.dim + 1) / 2)
 
 
@@ -448,7 +448,7 @@ class KappaExpKernel(SpaceTimeField):
         self.claimed_mode = "almost_strict"
 
     def _eval(self, P, T):
-        r = np.linalg.norm(P, axis=1)
+        r = geometry.row_norm(P)
         return T**self.a * np.exp(-(r**self.b) / T**self.c)
 
 
@@ -474,7 +474,7 @@ class KappaPowerKernel(SpaceTimeField):
         self.claimed_mode = "almost_strict"
 
     def _eval(self, P, T):
-        r = np.linalg.norm(P, axis=1)
+        r = geometry.row_norm(P)
         return T**self.a * (r**self.b + T**self.b) ** (self.c / self.b)
 
 

@@ -20,10 +20,13 @@ from concavekit.geometry import (
     coupling_core,
     interior_witness_outside,
     minkowski_combine,
+    row_norm,
+    rowwise,
     straightening_chart,
     support_of_combination,
     time_scaled_region,
 )
+from concavekit.geometry import _MEMBERSHIP_TOL
 from concavekit.sampling import make_rng
 
 
@@ -438,3 +441,113 @@ class TestSpaceTimeBox:
         X, T = stb.sample(make_rng(1), 100)
         assert ((T >= 0.5) & (T <= 2.0)).all()
         assert ((X >= -1) & (X <= 1)).all()
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def _reduce_membership(body, p, tol):
+    """Membership as the reduce expressions over axis 1 that contains_many replaced."""
+    if isinstance(body, Interval):
+        x = p[:, 0]
+        return (x >= body.a - tol) & (x <= body.b + tol)
+    if isinstance(body, Box):
+        return ((p >= body.lo - tol) & (p <= body.hi + tol)).all(axis=1)
+    if isinstance(body, Ball):
+        return np.linalg.norm(p - body.center, axis=1) <= body.radius + tol
+    if isinstance(body, Polytope):
+        eq = body._equations
+        return (p @ eq[:, :-1].T + eq[:, -1] <= tol).all(axis=1)
+    return (p @ body.normals.T <= tol).all(axis=1)
+
+
+def _near_boundary(boundary, normals, rng, spread):
+    """Boundary points, shifted along each normal by 0, +-tol and +-2 tol, plus random points."""
+    steps = _MEMBERSHIP_TOL * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    shifted = boundary[:, None, None, :] + steps[None, :, None, None] * normals[None, None, :, :]
+    dim = boundary.shape[1]
+    return np.vstack([shifted.reshape(-1, dim), rng.uniform(-spread, spread, (200, dim))])
+
+
+def _regular_polygon(k, radius=1.0):
+    ang = 2 * np.pi * np.arange(k) / k
+    return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+class TestRowKernels:
+    """rowwise/row_norm give the bits of numpy's axis-1 reductions, at every width."""
+
+    @staticmethod
+    def data(rng, m, n):
+        A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, (m, n))
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310])
+        hit = rng.uniform(size=A.shape) < 0.2
+        A[hit] = rng.choice(special, hit.sum())
+        A[:3] = -0.0
+        return A
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("m", [1, 5, 4000])
+    def test_matches_reduce(self, n, m):
+        A = self.data(make_rng(70 + n), max(m, 3), n)[:m]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for u in (np.maximum, np.minimum):
+                assert np.array_equal(_bits(rowwise(u, A)), _bits(u.reduce(A, axis=1))), u
+            # numpy's sum starts from +0.0: adding +0.0 maps only -0.0 to +0.0
+            assert np.array_equal(_bits(rowwise(np.add, A) + 0.0), _bits(A.sum(axis=1)))
+            assert np.array_equal(_bits(row_norm(A)), _bits(np.linalg.norm(A, axis=1)))
+        B = A > 0
+        assert np.array_equal(rowwise(np.logical_and, B), B.all(axis=1))
+
+    def test_layouts(self):
+        # a column view of a wider array and a Fortran-ordered copy
+        A = self.data(make_rng(80), 500, 9)
+        for view in (A[:, 2:5], np.asfortranarray(A[:, :4]), A[::3, :2]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert np.array_equal(_bits(rowwise(np.add, view) + 0.0), _bits(view.sum(axis=1)))
+                assert np.array_equal(_bits(row_norm(view)), _bits(np.linalg.norm(view, axis=1)))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            Interval(-0.75, 1.25),
+            Box([-1.0, 0.25], [0.5, 2.0]),
+            Box(-np.arange(1, 10) / 3.0, np.arange(1, 10) / 2.0),
+            Ball([0.3, -0.2], 0.8),
+            Ball([0.1, 0.2, -0.3], 1.7),
+            Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]),
+            Polytope(_regular_polygon(12, 1.3)),
+            Polytope(np.vstack([np.eye(3), -np.eye(3)])),
+            ConvexCone.orthant(2),
+            ConvexCone.orthant(3, [1.0, -1.0, 1.0]),
+            ConvexCone(2, -_regular_polygon(36)[:9]),
+        ],
+        ids=lambda b: type(b).__name__,
+    )
+    def test_contains_many_matches_reduce(self, body):
+        rng = make_rng(90)
+        dim = body.dim
+        if isinstance(body, Interval):
+            boundary, normals = np.array([[body.a], [body.b]]), np.ones((1, 1))
+        elif isinstance(body, Box):
+            mid = 0.5 * (body.lo + body.hi)
+            axis = np.arange(dim)
+            faces = [np.where(axis == i, side[i], mid) for side in (body.lo, body.hi) for i in axis]
+            boundary, normals = np.vstack(faces + [body.lo, body.hi]), np.eye(dim)
+        elif isinstance(body, Ball):
+            u = rng.standard_normal((16, dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            boundary, normals = body.center + body.radius * np.vstack([u, np.eye(dim)]), np.eye(dim)
+        elif isinstance(body, Polytope):
+            v = body.vertices
+            boundary = np.vstack([v, 0.5 * (v + np.roll(v, 1, axis=0))])
+            normals = body._equations[:, :-1]
+        else:
+            boundary = np.vstack([np.zeros(dim), np.eye(dim), -np.eye(dim)])
+            normals = np.vstack([np.eye(dim), body.normals])
+        pts = _near_boundary(boundary, normals, rng, 2.5)
+        for tol in (0.0, _MEMBERSHIP_TOL, -1e-9):
+            got = body.contains_many(pts, tol)
+            assert np.array_equal(got, _reduce_membership(body, pts, tol))
+        assert 0 < got.sum() < len(pts)
