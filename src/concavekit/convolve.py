@@ -29,7 +29,7 @@ from .fields import (
     ScalarField,
     SpaceTimeField,
 )
-from .geometry import Ball, Box, ConvexBody, Interval, Polytope, midpoint_grid
+from .geometry import Ball, Box, ConvexBody, Polytope, midpoint_grid
 from .sampling import make_rng
 
 __all__ = [
@@ -96,20 +96,11 @@ class ConvolutionResult:
 
 
 def _boundary_measure(support: ConvexBody) -> float:
-    """Surface measure of the support boundary (0 for grid-aligned boxes)."""
-    if isinstance(support, (Interval, Box)):
+    """Surface measure of the support boundary (0 where the grid aligns with it)."""
+    if isinstance(support, Box) or (isinstance(support, Polytope) and support.dim == 1):
         return 0.0
-    if isinstance(support, Ball):
-        n = support.dim
-        return (
-            2 * math.pi ** (n / 2) / math.gamma(n / 2) * support.radius ** (n - 1)
-        )
-    if isinstance(support, Polytope):
-        if support.dim == 1:
-            return 0.0
-        from scipy.spatial import ConvexHull
-
-        return float(ConvexHull(support.vertices).area)
+    if isinstance(support, (Ball, Polytope)):
+        return support.surface_area()
     lo, hi = support.bounding_box()
     return 2.0 * float(np.sum(hi - lo))  # crude fallback
 
@@ -244,17 +235,6 @@ class ConvolutionField(SpaceTimeField):
 
     def _eval(self, P, T):
         return self._eval_err(P, T)[0]
-
-    def eval_with_error(self, x, t):
-        from .fields import _pts
-
-        P, single_x = _pts(x, self.dim)
-        T = np.broadcast_to(np.asarray(t, dtype=float), (len(P),)).copy()
-        self._check_time(T)
-        v, e = self._eval_err(P, T)
-        if single_x and np.isscalar(t):
-            return float(v[0]), float(e[0])
-        return v, e
 
 
 class HeatIndicatorField(SpaceTimeField):

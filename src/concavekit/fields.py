@@ -87,15 +87,21 @@ class ScalarField:
     def _eval(self, P: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _eval_err(self, P: np.ndarray):
+        """Values and their evaluation-noise bounds (0 for closed forms)."""
+        v = self._eval(P)
+        return v, np.zeros_like(v)
+
     def __call__(self, x):
         P, single = _pts(x, self.dim)
         v = self._eval(P)
         return float(v[0]) if single else v
 
     def eval_with_error(self, x):
-        """Value plus an evaluation-noise bound (0 for closed forms)."""
-        v = self(x)
-        return v, np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
+        """Value plus an evaluation-noise bound."""
+        P, single = _pts(x, self.dim)
+        v, e = self._eval_err(P)
+        return (float(v[0]), float(e[0])) if single else (v, e)
 
 
 class IndicatorField(ScalarField):
@@ -138,45 +144,8 @@ class TentField(ScalarField):
         self.claimed_exponent = 1.0
         self.claimed_strict = False
 
-    def _gauge(self, P):
-        z = self.center
-        body = self.body
-        if isinstance(body, geometry.Ball) and np.allclose(z, body.center):
-            return geometry.row_norm(P - body.center) / body.radius
-        if isinstance(body, geometry.Interval):
-            lo, hi = body.a, body.b
-            x = P[:, 0]
-            return np.maximum((x - z[0]) / (hi - z[0]), (z[0] - x) / (z[0] - lo))
-        if isinstance(body, geometry.Box):
-            up = (P - z) / (body.hi - z)
-            dn = (z - P) / (z - body.lo)
-            return geometry.rowwise(np.maximum, np.maximum(up, dn, out=up))
-        # generic body: bisection on membership along the ray from the anchor
-        out = np.empty(len(P))
-        for i, y in enumerate(P):
-            d = y - z
-            if not d.any():
-                out[i] = 0.0
-                continue
-            s_hi = 1.0
-            while body.contains(z + d / s_hi) and s_hi > 1e-9:
-                s_hi /= 2.0
-            s_lo = s_hi
-            while not body.contains(z + d / s_lo):
-                s_lo *= 2.0
-                if s_lo > 1e12:
-                    break
-            for _ in range(80):
-                mid = 0.5 * (s_lo + s_hi)
-                if body.contains(z + d / mid):
-                    s_lo = mid
-                else:
-                    s_hi = mid
-            out[i] = s_lo
-        return out
-
     def _eval(self, P):
-        return self.height * np.maximum(0.0, 1.0 - self._gauge(P))
+        return self.height * np.maximum(0.0, 1.0 - self.body.gauge(P, self.center))
 
 
 class ConstantField(ScalarField):
@@ -359,17 +328,28 @@ class SpaceTimeField:
                 f"time outside the field's interval ({self.t_lo}, {self.t_hi})"
             )
 
-    def __call__(self, x, t):
+    def _eval_err(self, P: np.ndarray, T: np.ndarray):
+        """Values and their evaluation-noise bounds (0 for closed forms)."""
+        v = self._eval(P, T)
+        return v, np.zeros_like(v)
+
+    def _args(self, x, t):
+        """(points, times, whether a single point was given) of a call."""
         P, single_x = _pts(x, self.dim)
         T = np.broadcast_to(np.asarray(t, dtype=float), (len(P),)).copy()
         self._check_time(T)
+        return P, T, single_x and np.isscalar(t)
+
+    def __call__(self, x, t):
+        P, T, single = self._args(x, t)
         v = self._eval(P, T)
-        single = single_x and np.isscalar(t)
         return float(v[0]) if single else v
 
     def eval_with_error(self, x, t):
-        v = self(x, t)
-        return v, np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
+        """Value plus an evaluation-noise bound."""
+        P, T, single = self._args(x, t)
+        v, e = self._eval_err(P, T)
+        return (float(v[0]), float(e[0])) if single else (v, e)
 
     def slice_at(self, t: float) -> "FixedTimeSlice":
         return FixedTimeSlice(self, t)
@@ -390,12 +370,8 @@ class FixedTimeSlice(ScalarField):
     def _eval(self, P):
         return self.st_field._eval(P, np.full(len(P), self.t))
 
-    def eval_with_error(self, x):
-        P, single = _pts(x, self.dim)
-        v, e = self.st_field.eval_with_error(P, self.t)
-        if single:
-            return float(np.asarray(v).reshape(-1)[0]), float(np.asarray(e).reshape(-1)[0])
-        return v, e
+    def _eval_err(self, P):
+        return self.st_field._eval_err(P, np.full(len(P), self.t))
 
 
 class GaussWeierstrassKernel(SpaceTimeField):

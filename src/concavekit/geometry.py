@@ -2,10 +2,13 @@
 convex space-time regions.
 
 Bodies are immutable after construction and all queries are read-only, so
-instances are safe to share between threads.  Polytopes in dimension >= 2
-precompute facet inequalities with scipy's convex hull; membership tests are
-then a single matrix product.  Exact polytope arithmetic is only supported
-up to dimension 3.
+instances are safe to share between threads.  Each body owns its shape
+geometry: membership, support, and the gauge (Minkowski functional) about an
+interior point, all vectorized over point batches.  An :class:`Interval` is
+the 1-d :class:`Box` with its own constructor and repr.  Polytopes store
+facet inequalities (from scipy's convex hull in dimension >= 2); membership
+tests and gauges are then a single matrix product.  Exact polytope
+arithmetic is only supported up to dimension 3.
 
 Reductions over the coordinates of a point batch, of shape (m, n) with n
 small, go through ``rowwise`` and ``row_norm``.  numpy reduces such a short
@@ -122,6 +125,14 @@ class ConvexBody:
         """Vectorized membership for points of shape (m, dim)."""
         raise NotImplementedError
 
+    def gauge(self, P, z) -> np.ndarray:
+        """Minkowski functional about the interior point z at each row of P.
+
+        The smallest g >= 0 with z + (x - z) / g in the body; 1 on the
+        boundary, positively homogeneous in x - z.
+        """
+        raise NotImplementedError
+
     def bounding_box(self):
         raise NotImplementedError
 
@@ -163,46 +174,6 @@ class ConvexBody:
 
 
 @dataclass(frozen=True)
-class Interval(ConvexBody):
-    a: float
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not self.a < self.b:
-            raise ValueError("interval requires a < b")
-        object.__setattr__(self, "dim", 1)
-
-    def support(self, u):
-        u = float(np.asarray(u).reshape(()))
-        return self.b * u if u >= 0 else self.a * u
-
-    def support_point(self, u):
-        u = float(np.asarray(u).reshape(()))
-        return np.array([self.b if u >= 0 else self.a])
-
-    def contains_many(self, pts, tol=_MEMBERSHIP_TOL):
-        x = np.asarray(pts, dtype=float)[:, 0]
-        return (x >= self.a - tol) & (x <= self.b + tol)
-
-    def bounding_box(self):
-        return np.array([self.a]), np.array([self.b])
-
-    def interior_point(self):
-        return np.array([0.5 * (self.a + self.b)])
-
-    def diameter(self):
-        return self.b - self.a
-
-    def volume(self):
-        return self.b - self.a
-
-    def sample(self, rng, k):
-        return rng.uniform(self.a, self.b, size=(k, 1))
-
-
-@dataclass(frozen=True)
 class Box(ConvexBody):
     lo: np.ndarray
     hi: np.ndarray
@@ -230,6 +201,16 @@ class Box(ConvexBody):
         p = np.asarray(pts, dtype=float)
         return rowwise(np.logical_and, (p >= self.lo - tol) & (p <= self.hi + tol))
 
+    def contains(self, x, tol=_MEMBERSHIP_TOL):
+        # contains_many's comparisons in Python floats, without numpy's per-call set-up
+        x, lo, hi = np.asarray(x, dtype=float).tolist(), self.lo.tolist(), self.hi.tolist()
+        return all(a - tol <= xi <= b + tol for xi, a, b in zip(x, lo, hi))
+
+    def gauge(self, P, z):
+        up = (P - z) / (self.hi - z)
+        dn = (z - P) / (z - self.lo)
+        return rowwise(np.maximum, np.maximum(up, dn, out=up))
+
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
 
@@ -244,6 +225,26 @@ class Box(ConvexBody):
 
     def sample(self, rng, k):
         return rng.uniform(self.lo, self.hi, size=(k, self.dim))
+
+
+class Interval(Box):
+    """The closed interval [a, b], as a 1-d box."""
+
+    def __init__(self, a, b):
+        # a and b may also be 1-element arrays, so that Box operations can
+        # rebuild an Interval as type(body)(lo, hi)
+        super().__init__(np.reshape(a, 1), np.reshape(b, 1))
+
+    @property
+    def a(self) -> float:
+        return float(self.lo[0])
+
+    @property
+    def b(self) -> float:
+        return float(self.hi[0])
+
+    def __repr__(self):
+        return f"Interval(a={self.a!r}, b={self.b!r})"
 
 
 @dataclass(frozen=True)
@@ -270,6 +271,22 @@ class Ball(ConvexBody):
         p = np.asarray(pts, dtype=float)
         return row_norm(p - self.center) <= self.radius + tol
 
+    def gauge(self, P, z):
+        w = z - self.center
+        if not w.any():
+            return row_norm(P - self.center) / self.radius
+        # z + d/g lies on the sphere at the positive root of A g^2 - 2B g - C,
+        # taken in whichever of its two forms does not cancel
+        d = P - z
+        A = self.radius**2 - w @ w
+        B = d @ w
+        C = rowwise(np.add, d * d)
+        S = np.sqrt(B * B + A * C)
+        g = (B + S) / A
+        neg = B < 0
+        g[neg] = C[neg] / (S[neg] - B[neg])
+        return g
+
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
@@ -283,6 +300,10 @@ class Ball(ConvexBody):
         n = self.dim
         return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * self.radius**n
 
+    def surface_area(self):
+        n = self.dim
+        return 2 * math.pi ** (n / 2) / math.gamma(n / 2) * self.radius ** (n - 1)
+
     def sample(self, rng, k):
         v = rng.normal(size=(k, self.dim))
         v /= row_norm(v)[:, None]
@@ -291,16 +312,23 @@ class Ball(ConvexBody):
 
 
 class Polytope(ConvexBody):
-    """Convex hull of a finite vertex set that affinely spans R^n."""
+    """Convex hull of a finite vertex set that affinely spans R^n.
+
+    The facets are stored as rows (a_i, c_i) of a_i.x + c_i <= 0, with unit
+    outward normals a_i, as scipy's hull reports them.
+    """
 
     def __init__(self, vertices):
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.dim = v.shape[1]
         if self.dim == 1:
-            if v[:, 0].min() >= v[:, 0].max():
+            lo, hi = v[:, 0].min(), v[:, 0].max()
+            if lo >= hi:
                 raise ValueError("1-d polytope must have extent")
             self.vertices = v
-            self._equations = None
+            self._equations = np.array([[-1.0, lo], [1.0, -hi]])
+            # the boundary is two points
+            self._hull_volume, self._hull_area = hi - lo, 2.0
         else:
             from scipy.spatial import ConvexHull
 
@@ -310,7 +338,7 @@ class Polytope(ConvexBody):
                 raise ValueError("polytope vertices must affinely span R^n") from exc
             self.vertices = v[hull.vertices]
             self._equations = hull.equations
-            self._hull_volume = hull.volume
+            self._hull_volume, self._hull_area = hull.volume, hull.area
 
     def support(self, u):
         u = np.asarray(u, dtype=float)
@@ -322,11 +350,14 @@ class Polytope(ConvexBody):
 
     def contains_many(self, pts, tol=_MEMBERSHIP_TOL):
         p = np.asarray(pts, dtype=float)
-        if self.dim == 1:
-            x = p[:, 0]
-            return (x >= self.vertices[:, 0].min() - tol) & (x <= self.vertices[:, 0].max() + tol)
         vals = p @ self._equations[:, :-1].T + self._equations[:, -1]
         return rowwise(np.logical_and, vals <= tol)
+
+    def gauge(self, P, z):
+        normals, offsets = self._equations[:, :-1], self._equations[:, -1]
+        # z + (x - z)/g meets facet i's plane where a_i.(x - z)/g equals
+        # -c_i - a_i.z, the plane's distance from z
+        return rowwise(np.maximum, (P - z) @ normals.T / -(normals @ z + offsets))
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -339,9 +370,10 @@ class Polytope(ConvexBody):
         return float(np.linalg.norm(d, axis=2).max())
 
     def volume(self):
-        if self.dim == 1:
-            return float(self.vertices[:, 0].max() - self.vertices[:, 0].min())
         return float(self._hull_volume)
+
+    def surface_area(self):
+        return float(self._hull_area)
 
     def __repr__(self):
         return f"Polytope({len(self.vertices)} vertices, dim={self.dim})"
@@ -423,12 +455,9 @@ def support_of_combination(mu: float, X: ConvexBody, nu: float, Y, u) -> float:
 def _scale_body(s: float, body: ConvexBody) -> ConvexBody:
     if s == 0:
         raise ValueError("zero scaling of a body is a point, not a body")
-    if isinstance(body, Interval):
-        lo, hi = sorted((s * body.a, s * body.b))
-        return Interval(lo, hi)
     if isinstance(body, Box):
         a, b = s * body.lo, s * body.hi
-        return Box(np.minimum(a, b), np.maximum(a, b))
+        return type(body)(np.minimum(a, b), np.maximum(a, b))
     if isinstance(body, Ball):
         return Ball(s * body.center, abs(s) * body.radius)
     if isinstance(body, Polytope):
@@ -438,10 +467,8 @@ def _scale_body(s: float, body: ConvexBody) -> ConvexBody:
 
 def _translate_body(body: ConvexBody, v) -> ConvexBody:
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if isinstance(body, Interval):
-        return Interval(body.a + v[0], body.b + v[0])
     if isinstance(body, Box):
-        return Box(body.lo + v, body.hi + v)
+        return type(body)(body.lo + v, body.hi + v)
     if isinstance(body, Ball):
         return Ball(body.center + v, body.radius)
     if isinstance(body, Polytope):
@@ -452,8 +479,6 @@ def _translate_body(body: ConvexBody, v) -> ConvexBody:
 def _as_polytope(body: ConvexBody) -> Polytope:
     if isinstance(body, Polytope):
         return body
-    if isinstance(body, Interval):
-        return Polytope([[body.a], [body.b]])
     if isinstance(body, Box):
         if body.dim > 3:
             raise NotRepresentableError("box-to-polytope conversion limited to dim <= 3")
@@ -465,11 +490,12 @@ def _as_polytope(body: ConvexBody) -> Polytope:
 def minkowski_combine(mu: float, X: ConvexBody, nu: float, Y) -> ConvexBody:
     """Minkowski combination mu*X + nu*Y as an explicit body.
 
-    Y may be a body or a point (array).  Supported pairs: interval/box with
-    interval/box (matching dimension), ball with ball, and any interval/box/
-    polytope mix via vertex enumeration (dim <= 3).  Ball with a non-ball
-    raises :class:`NotRepresentableError`; use ``support_of_combination`` for
-    support-level arithmetic in that case.
+    Y may be a body or a point (array).  Both terms must have the same
+    dimension.  Supported pairs: box with box (an Interval is the 1-d box,
+    and a sum with an Interval term is again an Interval), ball with ball,
+    and any box/polytope mix via vertex enumeration (dim <= 3).  Ball with a
+    non-ball raises :class:`NotRepresentableError`; use
+    ``support_of_combination`` for support-level arithmetic in that case.
     """
     y_is_point = isinstance(Y, np.ndarray) or np.isscalar(Y) or isinstance(Y, (list, tuple))
     if mu == 0 and nu == 0:
@@ -485,14 +511,12 @@ def minkowski_combine(mu: float, X: ConvexBody, nu: float, Y) -> ConvexBody:
         return _scale_body(nu, Y)
 
     a, b = _scale_body(mu, X), _scale_body(nu, Y)
-    if isinstance(a, Interval) and isinstance(b, Interval):
-        return Interval(a.a + b.a, a.b + b.b)
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch in Minkowski combination")
     if isinstance(a, Box) and isinstance(b, Box):
-        return Box(a.lo + b.lo, a.hi + b.hi)
-    if isinstance(a, Interval) and isinstance(b, Box) and b.dim == 1:
-        return Interval(a.a + b.lo[0], a.b + b.hi[0])
-    if isinstance(a, Box) and isinstance(b, Interval) and a.dim == 1:
-        return Interval(a.lo[0] + b.a, a.hi[0] + b.b)
+        # the sum takes the more specific of the two classes
+        cls = type(a) if isinstance(a, type(b)) else type(b)
+        return cls(a.lo + b.lo, a.hi + b.hi)
     if isinstance(a, Ball) and isinstance(b, Ball):
         return Ball(a.center + b.center, a.radius + b.radius)
     if isinstance(a, Ball) or isinstance(b, Ball):
@@ -501,8 +525,6 @@ def minkowski_combine(mu: float, X: ConvexBody, nu: float, Y) -> ConvexBody:
             "use support_of_combination instead"
         )
     pa, pb = _as_polytope(a), _as_polytope(b)
-    if pa.dim != pb.dim:
-        raise ValueError("dimension mismatch in Minkowski combination")
     sums = (pa.vertices[:, None, :] + pb.vertices[None, :, :]).reshape(-1, pa.dim)
     return Polytope(sums)
 

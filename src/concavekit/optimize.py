@@ -302,6 +302,8 @@ def maximize(prob: MaxProblem) -> MaxResult:
     Raises :class:`ConvergenceError` if no start converges.  A spread above
     1000x the tolerance clears the ``unique`` flag instead of raising: it is
     evidence of a non-strict objective or of noise-dominated evaluations.
+    With two or more starts, ``unique`` also needs two converged starts,
+    since the spread of a single limit is 0 and certifies nothing.
     """
     feas = _Feasible(prob.feasible)
     starts = feas.starts(prob.multistart, prob.seed)
@@ -324,7 +326,7 @@ def maximize(prob: MaxProblem) -> MaxResult:
         starts_converged=len(converged),
         max_pairwise_spread=spread,
         evaluations=evaluations,
-        unique=spread <= 1e3 * prob.tolerance,
+        unique=spread <= 1e3 * prob.tolerance and (prob.multistart < 2 or len(converged) >= 2),
     )
 
 

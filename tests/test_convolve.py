@@ -29,7 +29,7 @@ from concavekit.fields import (
     PoissonKernel,
     TentField,
 )
-from concavekit.geometry import Ball, Box, Interval, SpaceTimeBox
+from concavekit.geometry import Ball, Box, Interval, Polytope, SpaceTimeBox
 from concavekit.sampling import make_rng
 
 INF = math.inf
@@ -104,6 +104,16 @@ class TestQuadratureAgreement:
         exact = 1 - 1.0 / math.sqrt(2.0)
         assert abs(r.value - exact) <= max(3 * r.est_error, 1e-4)
         assert r.est_error > 0
+
+    def test_polytope_boundary_term_reads_the_stored_hull(self, monkeypatch):
+        import scipy.spatial
+
+        tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        quad = QuadratureSpec(support=tri, points_per_axis=32)
+        ref = poisson_integral(IndicatorField(tri), [0.2, 0.2], 1.0, quad)
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", None)  # no hull is rebuilt per call
+        assert poisson_integral(IndicatorField(tri), [0.2, 0.2], 1.0, quad) == ref
+        assert ref.est_error > 0
 
     def test_mass_preservation(self):
         # integrating the heat convolution over a wide box recovers the data
@@ -206,6 +216,37 @@ class TestConvolutionConcavity:
         cfg = CheckConfig(samples=120, seed=48, domain=Interval(-2, 2))
         rep = check_p_concavity(FixedTimeSlice(gamma, 1.0), -INF, cfg, strict=True)
         assert rep.verdict == PASS
+
+
+class TestErrorHook:
+    """eval_with_error normalizes its arguments once and dispatches to _eval_err."""
+
+    def test_convolution_field_and_its_slice(self):
+        gamma = ConvolutionField(
+            PoissonKernel(1),
+            IndicatorField(Interval(-1, 1)),
+            QuadratureSpec(support=Interval(-1, 1), points_per_axis=64),
+        )
+        v, e = gamma.eval_with_error(0.3, 0.7)
+        assert type(v) is float and type(e) is float and e > 0
+        assert v == gamma(0.3, 0.7)
+        sl = FixedTimeSlice(gamma, 0.7)
+        assert sl.eval_with_error(0.3) == (v, e)
+        V, E = sl.eval_with_error([-0.5, 0.3])
+        assert np.array_equal(V, gamma([-0.5, 0.3], 0.7)) and (V[1], E[1]) == (v, e)
+        V, E = gamma.eval_with_error([-0.5, 0.3], [0.7, 0.7])
+        assert (V[1], E[1]) == (v, e)
+
+    def test_closed_forms_report_zero_error(self):
+        gw = GaussWeierstrassKernel(1)
+        v, e = gw.eval_with_error(0.3, 0.7)
+        assert (type(v), type(e), v, e) == (float, float, gw(0.3, 0.7), 0.0)
+        V, E = gw.eval_with_error([0.1, 0.3], 0.7)
+        assert np.array_equal(V, gw([0.1, 0.3], 0.7)) and np.array_equal(E, np.zeros(2))
+        tent = TentField(Interval(-1, 1))
+        assert tent.eval_with_error(0.5) == (0.5, 0.0)
+        V, E = tent.eval_with_error(np.array([[0.5], [0.0]]))
+        assert np.array_equal(V, [0.5, 1.0]) and np.array_equal(E, np.zeros(2))
 
 
 class TestExactFieldHelpers:

@@ -265,6 +265,46 @@ class TestAuxiliaryFields:
         pts = rng.uniform(-1.5, 1.5, size=(60, 2))
         assert np.allclose(tb(pts), tp(pts), atol=1e-9)
 
+    def test_tent_on_simplex_is_scaled_least_barycentric_coordinate(self):
+        # about the centroid of a triangle the gauge is max_i (1 - 3 lambda_i)
+        verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
+        tent = TentField(Polytope(verts), height=2.0)
+        pts = make_rng(40).uniform(-0.5, 2.5, size=(400, 2))
+        M = np.vstack([verts.T, np.ones(3)])
+        lam = np.linalg.solve(M, np.vstack([pts.T, np.ones(len(pts))])).T
+        ref = 2.0 * np.maximum(0.0, 3.0 * lam.min(axis=1))
+        assert np.allclose(tent(pts), ref, rtol=1e-12, atol=1e-14)
+        assert 0 < (ref > 0).sum() < len(pts)
+
+    def test_tent_off_centre_ball(self):
+        ball, z = Ball([0.3, -0.2], 0.8), np.array([0.7, 0.1])
+        tent = TentField(ball, height=1.5, center=z)
+        u = make_rng(41).standard_normal((50, 2))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        rim = ball.center + ball.radius * u
+        assert tent(z) == 1.5
+        assert np.allclose(tent(rim), 0.0, atol=1e-12)
+        # affine along each ray from the anchor to the rim
+        for s in (0.25, 0.5, 0.9):
+            assert np.allclose(tent(z + s * (rim - z)), 1.5 * (1 - s), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "body",
+        [Interval(-0.75, 1.25), Box([-1.0, 0.25], [0.5, 2.0]), Ball([0.3, -0.2], 0.8)],
+        ids=lambda b: type(b).__name__,
+    )
+    def test_tent_closed_forms_bit_for_bit(self, body):
+        # the formulas the tent used before the bodies owned their gauges
+        tent = TentField(body, height=1.5)
+        z = body.interior_point()
+        P = make_rng(42).uniform(-2.0, 2.0, size=(300, body.dim))
+        if isinstance(body, Ball):
+            g = np.linalg.norm(P - body.center, axis=1) / body.radius
+        else:
+            g = np.maximum((P - z) / (body.hi - z), (z - P) / (z - body.lo)).max(axis=1)
+        ref = 1.5 * np.maximum(0.0, 1.0 - g)
+        assert np.array_equal(tent(P).view(np.uint64), ref.view(np.uint64))
+
     def test_product_field(self):
         f = ProductField([IndicatorField(Interval(-1, 1)), GaussWeierstrassSlice(1, 1.0)])
         assert f([0.0]) == pytest.approx(GaussWeierstrassSlice(1, 1.0)([0.0]))

@@ -401,6 +401,7 @@ class TestPolytope3d:
         assert body.contains([0.2, 0.2, 0.2])
         assert not body.contains([0.5, 0.5, 0.5])
         assert body.volume() == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert body.surface_area() == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-12)
         pts = body.sample(make_rng(15), 200)
         assert body.contains_many(pts).all()
 
@@ -550,4 +551,188 @@ class TestRowKernels:
         for tol in (0.0, _MEMBERSHIP_TOL, -1e-9):
             got = body.contains_many(pts, tol)
             assert np.array_equal(got, _reduce_membership(body, pts, tol))
+            if isinstance(body, Box):  # Box tests a single point in Python floats
+                assert [body.contains(x, tol) for x in pts] == got.tolist()
         assert 0 < got.sum() < len(pts)
+
+
+def _bisect_gauge(body, P, z, steps=120):
+    """Reference gauge: bisection on exact membership along each ray from z."""
+    out = np.zeros(len(P))
+    for i, x in enumerate(P):
+        d = x - z
+        if not d.any():
+            continue
+        lo, hi = 0.0, 1.0  # z + d/hi is inside, z + d/lo outside (lo = 0: at infinity)
+        while not body.contains(z + d / hi, tol=0.0):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if lo == 0.0 and mid == hi:
+                break
+            if body.contains(z + d / mid, tol=0.0):
+                hi = mid
+            else:
+                lo = mid
+        out[i] = hi
+    return out
+
+
+# (body, anchor z): every kind, off-centre anchors, 1-d and 3-d polytopes
+GAUGE_CASES = [
+    (Interval(-0.75, 1.25), [0.1]),
+    (Box([-1.0, 0.25], [0.5, 2.0]), [-0.2, 1.0]),
+    (Box([-1.0, -2.0, 0.0], [1.0, 0.5, 3.0]), [0.3, -0.4, 2.2]),
+    (Ball([0.3, -0.2], 0.8), [0.3, -0.2]),
+    (Ball([0.3, -0.2], 0.8), [0.65, 0.1]),
+    (Ball([0.1, 0.2, -0.3], 1.7), [-0.9, 0.6, 0.4]),
+    (Ball([0.5], 2.0), [-1.0]),
+    (Polytope([[-0.5], [0.3], [1.5]]), [1.2]),
+    (Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]), [0.9, 0.4]),
+    (Polytope(_regular_polygon(12, 1.3)), [-0.3, 0.5]),
+    (Polytope(np.vstack([np.eye(3), -np.eye(3), [[0.4, 0.4, 0.4]]])), [0.1, 0.2, -0.3]),
+]
+GAUGE_IDS = [f"{type(b).__name__}{b.dim}d-{k}" for k, (b, _) in enumerate(GAUGE_CASES)]
+
+
+@pytest.mark.parametrize("body, z", GAUGE_CASES, ids=GAUGE_IDS)
+class TestGauge:
+    def test_one_at_support_points(self, body, z):
+        z = np.asarray(z, dtype=float)
+        u = make_rng(31).standard_normal((40, body.dim))
+        X = np.array([body.support_point(w) for w in u])
+        assert np.allclose(body.gauge(X, z), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_positively_homogeneous(self, body, z):
+        z = np.asarray(z, dtype=float)
+        rng = make_rng(32)
+        P = rng.uniform(-3.0, 3.0, (200, body.dim))
+        # away from z, so that rounding z + s (x - z) moves x - z by few ulps
+        P = P[row_norm(P - z) > 0.5]
+        g = body.gauge(P, z)
+        assert (g > 0).all() and body.gauge(z[None, :], z)[0] == 0.0
+        for s in (0.125, 0.37, 2.5, 1e4):
+            assert np.allclose(body.gauge(z + s * (P - z), z), s * g, rtol=1e-12, atol=0.0)
+
+    def test_matches_bisection(self, body, z):
+        z = np.asarray(z, dtype=float)
+        P = make_rng(33).uniform(-2.5, 2.5, (60, body.dim))
+        ref = _bisect_gauge(body, P, z)
+        assert np.allclose(body.gauge(P, z), ref, rtol=1e-12, atol=0.0)
+
+
+class TestGaugeFormulas:
+    """Box, Interval and centred-ball gauges keep their earlier closed forms, bit for bit."""
+
+    def test_interval(self):
+        body, z = Interval(-0.75, 1.25), np.array([0.1])
+        P = make_rng(34).uniform(-3, 3, (500, 1))
+        x = P[:, 0]
+        ref = np.maximum((x - z[0]) / (body.b - z[0]), (z[0] - x) / (z[0] - body.a))
+        assert np.array_equal(_bits(body.gauge(P, z)), _bits(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_box(self, dim):
+        rng = make_rng(35 + dim)
+        lo = -rng.uniform(0.5, 2.0, dim)
+        hi = rng.uniform(0.5, 2.0, dim)
+        body, z = Box(lo, hi), rng.uniform(-0.4, 0.4, dim)
+        P = rng.uniform(-3, 3, (500, dim))
+        ref = np.maximum((P - z) / (hi - z), (z - P) / (z - lo)).max(axis=1)
+        assert np.array_equal(_bits(body.gauge(P, z)), _bits(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_centred_ball(self, dim):
+        rng = make_rng(40 + dim)
+        body = Ball(rng.uniform(-1, 1, dim), 1.3)
+        P = rng.uniform(-3, 3, (500, dim))
+        ref = np.linalg.norm(P - body.center, axis=1) / body.radius
+        assert np.array_equal(_bits(body.gauge(P, body.interior_point())), _bits(ref))
+
+
+def _old_interval_queries(a, b, u, seed, k):
+    """The queries of the former standalone Interval class, as it computed them."""
+    return {
+        "support": b * u if u >= 0 else a * u,
+        "support_point": np.array([b if u >= 0 else a]),
+        "sample": make_rng(seed).uniform(a, b, size=(k, 1)),
+        "diameter": b - a,
+        "volume": b - a,
+        "bounding_box": (np.array([a]), np.array([b])),
+        "interior_point": np.array([0.5 * (a + b)]),
+    }
+
+
+class TestIntervalIsBox:
+    @staticmethod
+    def queries(body, u, seed, k):
+        return {
+            "support": body.support(u),
+            "support_point": body.support_point(u),
+            "sample": body.sample(make_rng(seed), k),
+            "diameter": body.diameter(),
+            "volume": body.volume(),
+            "bounding_box": body.bounding_box(),
+            "interior_point": body.interior_point(),
+        }
+
+    @pytest.mark.parametrize("a, b", [(-0.75, 1.25), (0.0, 1.0), (1e-8, 3e-8), (-2e6, 1.5e7)])
+    def test_queries_match_box_and_former_formulas(self, a, b):
+        interval, box = Interval(a, b), Box([a], [b])
+        pts = np.vstack([[[a], [b], [0.5 * (a + b)]], make_rng(50).uniform(2 * a - b, 2 * b - a, (200, 1))])
+        for tol in (0.0, _MEMBERSHIP_TOL, -1e-9):
+            got = interval.contains_many(pts, tol)
+            assert np.array_equal(got, box.contains_many(pts, tol))
+            x = pts[:, 0]
+            assert np.array_equal(got, (x >= a - tol) & (x <= b + tol))
+        for k, u in enumerate((1.0, -2.5, 3e-300, -7e-310)):
+            mine, as_box = self.queries(interval, u, k, 7), self.queries(box, u, k, 7)
+            former = _old_interval_queries(a, b, u, k, 7)
+            for name, value in mine.items():
+                assert type(value) is type(as_box[name])
+                for p, q, r in zip(*(np.atleast_1d(v) for v in (value, as_box[name], former[name]))):
+                    assert np.array_equal(_bits(p), _bits(q))
+                    # the former support kept the sign of a zero result; numpy's sum drops it
+                    assert np.array_equal(p, r) if name == "support" else np.array_equal(_bits(p), _bits(r))
+
+    def test_validation(self):
+        for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                Interval(a, b)
+
+
+class TestIntervalAlgebra:
+    """Scaled, shifted and combined Intervals stay Intervals, with the same JSON and repr."""
+
+    @pytest.mark.parametrize(
+        "result, a, b",
+        [
+            (minkowski_combine(2.0, Interval(0, 1), 1.0, [0.5]), 0.5, 2.5),
+            (minkowski_combine(-2.0, Interval(0, 1), 0.0, np.zeros(1)), -2.0, 0.0),
+            (minkowski_combine(-2.0, Interval(0, 1), 0.0, Interval(0, 1)), -2.0, -0.0),
+            (minkowski_combine(0.5, Interval(0, 1), 0.5, Interval(2, 4)), 1.0, 2.5),
+            (minkowski_combine(1.0, Interval(0, 1), 1.0, Box([1.0], [2.0])), 1.0, 3.0),
+            (minkowski_combine(1.0, Box([1.0], [2.0]), -1.0, Interval(0, 1)), 0.0, 2.0),
+            (minkowski_combine(0.0, Box([5.0], [6.0]), 3.0, Interval(-1, 1)), -3.0, 3.0),
+        ],
+    )
+    def test_stays_interval(self, result, a, b):
+        assert type(result) is Interval
+        assert repr(result) == f"Interval(a={a!r}, b={b!r})"
+        assert body_to_json(result) == {"kind": "interval", "a": a, "b": b}
+        clone = body_from_json(body_to_json(result))
+        assert type(clone) is Interval and repr(clone) == repr(result)
+
+    def test_one_dimensional_boxes_stay_boxes(self):
+        r = minkowski_combine(1.0, Box([0.0], [1.0]), 2.0, Box([1.0], [2.0]))
+        assert type(r) is Box and body_to_json(r) == {"kind": "box", "lo": [2.0], "hi": [5.0]}
+
+    def test_with_polytope(self):
+        r = minkowski_combine(1.0, Interval(0, 1), 1.0, Polytope([[-1.0], [0.5]]))
+        assert isinstance(r, Polytope)
+        assert r.bounding_box() == (np.array([-1.0]), np.array([1.5]))
+        assert r.volume() == 2.5
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            minkowski_combine(1.0, Box([0.0, 0.0], [1.0, 1.0]), 1.0, Interval(0, 1))

@@ -82,6 +82,20 @@ class TestMaximize:
         assert not r.unique
         assert r.max_pairwise_spread > 1.0
 
+    def test_one_converged_start_certifies_nothing(self):
+        # flat for x >= 0.5: the start there converges in its first cycle,
+        # the start below 0.5 still moves and hits the cycle cap
+        def ramp(z):
+            return -max(0.0, 0.5 - z[0])
+
+        r = maximize(MaxProblem(objective=ramp, feasible=Interval(0, 1), multistart=2, max_cycles=1))
+        assert r.starts_converged == 1 and r.max_pairwise_spread == 0.0
+        assert not r.unique
+        alone = maximize(
+            MaxProblem(objective=ramp, feasible=Interval(0, 1), multistart=1, max_cycles=1)
+        )
+        assert alone.starts_converged == 1 and alone.unique
+
     def test_space_time_box_feasible(self):
         stb = SpaceTimeBox(Interval(-2, 2), 0.5, 3.0)
         W = HeatIndicatorField(-1, 1)
