@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -72,7 +73,7 @@ def cmd_check(args) -> int:
         check_parabolic_p_concavity,
     )
     from .fields import field_from_json
-    from .geometry import SpaceTimeBox, body_from_json
+    from .geometry import body_from_json, spacetime_box_from_json
 
     t0 = time.monotonic()
     field = field_from_json(_load_json(args.field))
@@ -92,13 +93,9 @@ def cmd_check(args) -> int:
     else:
         if args.alpha is None:
             raise ValueError("parabolic checks need --alpha")
-        if args.domain:
-            spec = _load_json(args.domain)
-            domain = SpaceTimeBox(
-                body_from_json(spec["body"]), float(spec["t_lo"]), float(spec["t_hi"])
-            )
-        else:
+        if not args.domain:
             raise ValueError("parabolic checks need --domain (spacetime box descriptor)")
+        domain = spacetime_box_from_json(_load_json(args.domain))
         cfg = CheckConfig(samples=args.samples, seed=args.seed, domain=domain)
         report = check_parabolic_p_concavity(
             field, args.alpha, as_exponent(args.p), cfg, mode=mode
@@ -221,7 +218,9 @@ def cmd_regiomontanus(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="concavekit",
         description="power means, concavity checks, kernel convolutions, "

@@ -104,27 +104,13 @@ class CheckConfig:
             raise ValueError("samples must be positive")
 
 
-def _as_body(domain) -> ConvexBody:
-    if isinstance(domain, ConvexBody):
-        return domain
-    raise ValueError("this check needs a ConvexBody domain in the config")
+def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
+    """Fold sampled pairs into a verdict, its worst margin and a witness.
 
-
-def _pair_margins(flam, f0, f1, p, lam):
-    """Margins, scales, and trivial/positive masks for sampled pairs."""
-    rhs = mean_p(p, f0, f1, lam)
-    margin = flam - rhs
-    scale = np.maximum(flam, rhs)
-    trivial = scale == 0
-    positive = (f0 > 0) & (f1 > 0)
-    return margin, rhs, scale, trivial, positive
-
-
-def _resolve(
-    cfg, margin, scale, noise, sep_ok, positive, trivial, lam, mode, make_witness,
-    sep_rel=None, zero_eq=None,
-):
-    """Fold per-sample margins into a verdict + witness.
+    ``pairs`` maps witness names to the sampled endpoint arrays, in witness
+    order; ``evals`` maps the names of the two endpoint values and of the
+    combined value to their (values, error bounds).  ``sep_rel`` is each
+    pair's separation relative to the domain.
 
     The strictness floor of a C^2 strictly concave function vanishes like
     lam (1 - lam) times the squared separation, so the required margin is
@@ -132,37 +118,67 @@ def _resolve(
     and scales down with 4 lam (1 - lam) * sep_rel^2 elsewhere; a flat floor
     would flag genuinely strict fields just past the separation gate.
 
-    ``zero_eq`` marks separated pairs whose endpoint values and combined
-    value all vanish: the inequality is an equality there at distinct
-    points, so they fail strictness even though the margin statistics
-    exclude zero-valued means.
+    Separated pairs whose endpoint values and combined value all vanish
+    realize the inequality as an equality at distinct points, so they fail
+    strictness even though the margin statistics exclude zero-valued means.
     """
-    safe_scale = np.where(trivial, 1.0, scale)
-    rel = np.where(trivial, 0.0, margin / safe_scale)
+    (f0, e0), (f1, e1), (fl, el) = (
+        (np.asarray(v), np.asarray(e)) for v, e in evals.values()
+    )
+    noise = e0 + e1 + el
+    rhs = mean_p(p, f0, f1, lam)
+    margin = fl - rhs
+    scale = np.maximum(fl, rhs)
+    trivial = scale == 0
+    positive = (f0 > 0) & (f1 > 0)
+    strict = mode != "plain"
+    if strict and not positive.any():
+        raise SamplingError(
+            "strictness demands positive values, but no sampled pair had them"
+        )
+
+    rel = np.where(trivial, 0.0, margin / np.where(trivial, 1.0, scale))
     viol = margin < -(cfg.tol * scale + 3.0 * noise)
     strict_fail = np.zeros_like(viol)
-    if mode in ("strict", "almost_strict"):
-        if sep_rel is None:
-            sep_rel = np.ones_like(lam)
+    if strict:
         mult = 4.0 * lam * (1.0 - lam) * np.clip(sep_rel, cfg.sep_frac, 1.0) ** 2
         floor = cfg.eps_strict * mult
-        need = sep_ok & positive & ~trivial
-        strict_fail = need & (margin <= floor * scale + 3.0 * noise)
-        if zero_eq is not None:
-            strict_fail |= zero_eq & sep_ok
-    worst_idx = int(np.argmin(np.where(trivial, np.inf, rel)))
+        thin = positive & ~trivial & (margin <= floor * scale + 3.0 * noise)
+        zero_eq = (f0 == 0) & (f1 == 0) & (fl == 0)
+        strict_fail = (sep_rel >= cfg.sep_frac) & (thin | zero_eq)
+
     if viol.any():
-        i = int(np.argmax(viol))
-        return VIOLATION, float(rel[i]), make_witness(i)
-    if strict_fail.any():
-        i = int(np.argmin(np.where(strict_fail, rel, np.inf)))
-        return EQUALITY_OFF_SPEC, float(rel[i]), make_witness(i)
-    if trivial.all():
-        return PASS, 0.0, None
-    return PASS, float(rel[worst_idx]), make_witness(worst_idx)
+        verdict, i = VIOLATION, int(np.argmax(viol))
+    elif strict_fail.any():
+        verdict, i = EQUALITY_OFF_SPEC, int(np.argmin(np.where(strict_fail, rel, np.inf)))
+    elif trivial.all():
+        verdict, i = PASS, None
+    else:
+        verdict, i = PASS, int(np.argmin(np.where(trivial, np.inf, rel)))
+
+    witness = None
+    if i is not None:
+        witness = {k: a[i].tolist() for k, a in pairs.items()}
+        witness["lambda"] = float(lam[i])
+        witness.update({k: float(v[i]) for k, v in zip(evals, (f0, f1, fl))})
+        witness["rhs"] = float(rhs[i])
+    return ConcavityReport(
+        verdict=verdict,
+        worst_margin=0.0 if i is None else float(rel[i]),
+        witness=witness,
+        samples_used=cfg.samples,
+        tolerance=cfg.tol,
+        seed=cfg.seed,
+        mode=mode,
+    )
 
 
-def _sample_pairs_body(body: ConvexBody, cfg: CheckConfig, rng):
+def _sample_pairs_body(f, cfg: CheckConfig):
+    """(body, x0, x1, lam, x_lam) drawn from the configured body, else f's support."""
+    body = cfg.domain if cfg.domain is not None else f.support
+    if not isinstance(body, ConvexBody):
+        raise ValueError("this check needs a ConvexBody domain in the config")
+    rng = make_rng(cfg.seed)
     n = cfg.samples
     x0 = body.sample(rng, n)
     x1 = body.sample(rng, n)
@@ -174,7 +190,7 @@ def _sample_pairs_body(body: ConvexBody, cfg: CheckConfig, rng):
         ok = body.contains_many(cand)
         x1[:k][ok] = cand[ok]
     lam = rng.uniform(0.0, 1.0, size=n)
-    return x0, x1, lam
+    return body, x0, x1, lam, (1 - lam)[:, None] * x0 + lam[:, None] * x1
 
 
 def check_p_concavity(
@@ -188,50 +204,13 @@ def check_p_concavity(
     ``sep_frac * diameter`` and both endpoint values are positive; a
     too-small margin there yields the ``equality_off_spec`` verdict.
     """
-    body = _as_body(cfg.domain if cfg.domain is not None else f.support)
-    rng = make_rng(cfg.seed)
-    x0, x1, lam = _sample_pairs_body(body, cfg, rng)
-    xl = (1 - lam)[:, None] * x0 + lam[:, None] * x1
-
-    f0, e0 = f.eval_with_error(x0)
-    f1, e1 = f.eval_with_error(x1)
-    fl, el = f.eval_with_error(xl)
-    noise = np.asarray(e0) + np.asarray(e1) + np.asarray(el)
-
-    margin, rhs, scale, trivial, positive = _pair_margins(fl, f0, f1, p, lam)
-    mode = "strict" if strict else "plain"
-    if strict and not positive.any():
-        raise SamplingError(
-            "strictness demands positive values, but no sampled pair had them"
-        )
-    sep = row_norm(x0 - x1)
-    sep_rel = sep / body.diameter()
-    sep_ok = sep_rel >= cfg.sep_frac
-
-    def witness(i):
-        return {
-            "x0": x0[i].tolist(),
-            "x1": x1[i].tolist(),
-            "lambda": float(lam[i]),
-            "f0": float(f0[i]),
-            "f1": float(f1[i]),
-            "f_comb": float(fl[i]),
-            "rhs": float(rhs[i]),
-        }
-
-    zero_eq = (np.asarray(f0) == 0) & (np.asarray(f1) == 0) & (np.asarray(fl) == 0)
-    verdict, worst, w = _resolve(
-        cfg, margin, scale, noise, sep_ok, positive, trivial, lam, mode, witness,
-        sep_rel=sep_rel, zero_eq=zero_eq,
-    )
-    return ConcavityReport(
-        verdict=verdict,
-        worst_margin=worst,
-        witness=w,
-        samples_used=cfg.samples,
-        tolerance=cfg.tol,
-        seed=cfg.seed,
-        mode=mode,
+    body, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
+    sep_rel = row_norm(x0 - x1) / body.diameter()
+    return _report(
+        cfg, p, lam, "strict" if strict else "plain", sep_rel,
+        {"x0": x0, "x1": x1},
+        {"f0": f.eval_with_error(x0), "f1": f.eval_with_error(x1),
+         "f_comb": f.eval_with_error(xl)},
     )
 
 
@@ -242,10 +221,7 @@ def check_quasi_concavity_superlevel(f, cfg: CheckConfig) -> ConcavityReport:
     must stay above a.  Cross-checked against the equivalent -inf-mean
     margin formulation on the same pairs; the verdicts must agree.
     """
-    body = _as_body(cfg.domain if cfg.domain is not None else f.support)
-    rng = make_rng(cfg.seed)
-    x0, x1, lam = _sample_pairs_body(body, cfg, rng)
-    xl = (1 - lam)[:, None] * x0 + lam[:, None] * x1
+    _, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
     f0 = f(x0)
     f1 = f(x1)
     fl = f(xl)
@@ -300,47 +276,34 @@ def _ray_positions(X, T, alpha):
     return X / f[:, None]
 
 
-def _sample_pairs_spacetime(domain, phi, cfg: CheckConfig, rng):
+def _sample_pairs_spacetime(domain, cfg: CheckConfig):
+    rng = make_rng(cfg.seed)
     n = cfg.samples
-    if isinstance(domain, ParabolicRegion):
-        X0, T0 = domain.sample(rng, n)
-        X1, T1 = domain.sample(rng, n)
-        region = domain
-    elif isinstance(domain, SpaceTimeBox):
-        X0, T0 = domain.sample(rng, n)
-        X1, T1 = domain.sample(rng, n)
-        region = None
-    else:
-        raise ValueError("space-time checks need a SpaceTimeBox or ParabolicRegion domain")
+    X0, T0 = domain.sample(rng, n)
+    X1, T1 = domain.sample(rng, n)
     lam = rng.uniform(0.0, 1.0, size=n)
 
     k = int(cfg.diag_frac * n)
     if k:
         X1[:k] = X0[:k]
         T1[:k] = T0[:k] * (1 + 1e-5 * rng.normal(size=k))
-        lo = domain.t_lo if region is None else region.t_lo
-        hi = domain.t_hi if region is None else region.t_hi
-        T1[:k] = np.clip(T1[:k], lo, hi)
+        T1[:k] = np.clip(T1[:k], domain.t_lo, domain.t_hi)
     return X0, T0, X1, T1, lam
 
 
-def _force_rays(X0, T0, X1, T1, alpha, domain, cfg, rng):
+def _force_rays(X0, T0, X1, T1, alpha, domain, cfg):
     """Overwrite a fraction of pairs with exactly ray-aligned partners."""
     n = len(T0)
     k = int(cfg.ray_frac * n)
     if k == 0:
         return
-    i0 = n - k
-    sl = slice(i0, n)
+    sl = slice(n - k, n)
     if alpha == 0.0:
         scalefac = np.log(T1[sl]) / np.log(T0[sl])
     else:
         scalefac = (T1[sl] / T0[sl]) ** alpha
     cand = X0[sl] * scalefac[:, None]
-    if isinstance(domain, SpaceTimeBox):
-        ok = domain.body.contains_many(cand)
-    else:
-        ok = domain.contains_many(cand, T1[sl])
+    ok = domain.contains_many(cand, T1[sl])
     X1[sl][ok] = cand[ok]
 
 
@@ -363,73 +326,34 @@ def check_parabolic_p_concavity(
     if mode not in ("plain", "strict", "almost_strict"):
         raise ValueError(f"unknown mode: {mode!r}")
     domain = cfg.domain
-    if mode == "almost_strict" and alpha == 0.0:
-        t_lo = domain.t_lo
-        if t_lo <= 1.0:
-            raise ValueError("almost-strict alpha = 0 checks need times > 1")
-    rng = make_rng(cfg.seed)
-    X0, T0, X1, T1, lam = _sample_pairs_spacetime(domain, phi, cfg, rng)
+    if not isinstance(domain, (SpaceTimeBox, ParabolicRegion)):
+        raise ValueError("space-time checks need a SpaceTimeBox or ParabolicRegion domain")
+    if mode == "almost_strict" and alpha == 0.0 and domain.t_lo <= 1.0:
+        raise ValueError("almost-strict alpha = 0 checks need times > 1")
+    X0, T0, X1, T1, lam = _sample_pairs_spacetime(domain, cfg)
     if alpha != 0.0 or domain.t_lo > 1.0:
         # probe the equality set directly; random pairs almost never land
         # on a ray, so without this a strict check of an almost-strict
         # field would pass or fail by sampling luck
-        _force_rays(X0, T0, X1, T1, alpha, domain, cfg, rng)
+        _force_rays(X0, T0, X1, T1, alpha, domain, cfg)
 
     t_comb = mean_p(alpha, T0, T1, lam)
     x_comb = (1 - lam)[:, None] * X0 + lam[:, None] * X1
-
-    f0, e0 = phi.eval_with_error(X0, T0)
-    f1, e1 = phi.eval_with_error(X1, T1)
-    fl, el = phi.eval_with_error(x_comb, t_comb)
-    noise = np.asarray(e0) + np.asarray(e1) + np.asarray(el)
-
-    margin, rhs, scale, trivial, positive = _pair_margins(fl, f0, f1, p, lam)
-    if mode in ("strict", "almost_strict") and not positive.any():
-        raise SamplingError(
-            "strictness demands positive values, but no sampled pair had them"
-        )
-
-    diam = domain.diameter()
-    sep = np.sqrt(row_norm(X0 - X1) ** 2 + (T0 - T1) ** 2)
-    sep_rel = sep / diam
-    sep_ok = sep_rel >= cfg.sep_frac
     if mode == "almost_strict":
         # equality lives on rays, and the margin vanishes with the squared
         # distance from the ray set, so the residual replaces the spatial
         # separation in both the gate and the floor modulation
         r0 = _ray_positions(X0, T0, alpha)
         r1 = _ray_positions(X1, T1, alpha)
-        res = row_norm(r0 - r1)
         ray_scale = 1.0 + np.maximum(row_norm(r0), row_norm(r1))
-        sep_rel = res / ray_scale
-        sep_ok = sep_rel >= cfg.sep_frac
-
-    def witness(i):
-        return {
-            "x0": X0[i].tolist(),
-            "t0": float(T0[i]),
-            "x1": X1[i].tolist(),
-            "t1": float(T1[i]),
-            "lambda": float(lam[i]),
-            "phi0": float(f0[i]),
-            "phi1": float(f1[i]),
-            "phi_comb": float(fl[i]),
-            "rhs": float(rhs[i]),
-        }
-
-    zero_eq = (np.asarray(f0) == 0) & (np.asarray(f1) == 0) & (np.asarray(fl) == 0)
-    verdict, worst, w = _resolve(
-        cfg, margin, scale, noise, sep_ok, positive, trivial, lam, mode, witness,
-        sep_rel=sep_rel, zero_eq=zero_eq,
-    )
-    return ConcavityReport(
-        verdict=verdict,
-        worst_margin=worst,
-        witness=w,
-        samples_used=cfg.samples,
-        tolerance=cfg.tol,
-        seed=cfg.seed,
-        mode=mode,
+        sep_rel = row_norm(r0 - r1) / ray_scale
+    else:
+        sep_rel = np.sqrt(row_norm(X0 - X1) ** 2 + (T0 - T1) ** 2) / domain.diameter()
+    return _report(
+        cfg, p, lam, mode, sep_rel,
+        {"x0": X0, "t0": T0, "x1": X1, "t1": T1},
+        {"phi0": phi.eval_with_error(X0, T0), "phi1": phi.eval_with_error(X1, T1),
+         "phi_comb": phi.eval_with_error(x_comb, t_comb)},
     )
 
 

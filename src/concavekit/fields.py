@@ -137,6 +137,8 @@ class TentField(ScalarField):
         self.center = (
             body.interior_point() if center is None else np.asarray(center, dtype=float)
         )
+        if self.center.shape != (body.dim,):
+            raise ValueError(f"tent anchor must have shape ({body.dim},)")
         if not body.is_interior(self.center):
             raise ValueError("tent anchor must be interior to the body")
         self.dim = body.dim
@@ -588,7 +590,9 @@ def field_from_json(data: dict):
     if kind == "indicator":
         return IndicatorField(body_from_json(data["body"]), float(data.get("height", 1.0)))
     if kind == "tent":
-        return TentField(body_from_json(data["body"]), float(data.get("height", 1.0)))
+        return TentField(
+            body_from_json(data["body"]), float(data.get("height", 1.0)), data.get("center")
+        )
     if kind == "constant":
         return ConstantField(float(data["value"]), n)
     if kind == "gaussian":
@@ -636,7 +640,12 @@ def field_to_json(f) -> dict:
     if isinstance(f, IndicatorField):
         return {"kind": "indicator", "body": body_to_json(f.body), "height": f.height}
     if isinstance(f, TentField):
-        return {"kind": "tent", "body": body_to_json(f.body), "height": f.height}
+        return {
+            "kind": "tent",
+            "body": body_to_json(f.body),
+            "height": f.height,
+            "center": f.center.tolist(),
+        }
     if isinstance(f, ConstantField):
         return {"kind": "constant", "value": f.value, "n": f.dim}
     if isinstance(f, GaussWeierstrassSlice):

@@ -7,8 +7,9 @@ geometry: membership, support, and the gauge (Minkowski functional) about an
 interior point, all vectorized over point batches.  An :class:`Interval` is
 the 1-d :class:`Box` with its own constructor and repr.  Polytopes store
 facet inequalities (from scipy's convex hull in dimension >= 2); membership
-tests and gauges are then a single matrix product.  Exact polytope
-arithmetic is only supported up to dimension 3.
+tests and gauges fold the facet products over the coordinates, so a point
+gets the same bits alone as in a batch.  Exact polytope arithmetic is only
+supported up to dimension 3.
 
 Reductions over the coordinates of a point batch, of shape (m, n) with n
 small, go through ``rowwise`` and ``row_norm``.  numpy reduces such a short
@@ -50,7 +51,6 @@ __all__ = [
     "ParabolicRegion",
     "HatRegion",
     "CylinderRegion",
-    "PredicateRegion",
     "UnionRegion",
     "SpaceTimeBox",
     "time_scaled_region",
@@ -60,6 +60,7 @@ __all__ = [
     "check_parabolic_convexity",
     "body_from_json",
     "body_to_json",
+    "spacetime_box_from_json",
     "midpoint_grid",
     "rowwise",
     "row_norm",
@@ -348,16 +349,33 @@ class Polytope(ConvexBody):
         u = np.asarray(u, dtype=float)
         return self.vertices[int(np.argmax(self.vertices @ u))].copy()
 
+    def _facet_dots(self, P):
+        """a_i.x for each facet i (rows) and row x of P (columns).
+
+        A matrix product sums a row in an order that depends on the batch
+        shape, so a point on a facet plane could test inside alone and
+        outside in a batch.  A fold over the coordinates gives each point the
+        same bits in any batch; facets run down the rows so that each step of
+        the fold is a long loop over the points.
+        """
+        normals = self._equations[:, :-1]
+        out = normals[:, :1] * P[:, 0]
+        for j in range(1, self.dim):
+            out += normals[:, j : j + 1] * P[:, j]
+        return out
+
     def contains_many(self, pts, tol=_MEMBERSHIP_TOL):
-        p = np.asarray(pts, dtype=float)
-        vals = p @ self._equations[:, :-1].T + self._equations[:, -1]
-        return rowwise(np.logical_and, vals <= tol)
+        vals = self._facet_dots(np.asarray(pts, dtype=float))
+        vals += self._equations[:, -1:]
+        return (vals <= tol).all(axis=0)
 
     def gauge(self, P, z):
         normals, offsets = self._equations[:, :-1], self._equations[:, -1]
         # z + (x - z)/g meets facet i's plane where a_i.(x - z)/g equals
         # -c_i - a_i.z, the plane's distance from z
-        return rowwise(np.maximum, (P - z) @ normals.T / -(normals @ z + offsets))
+        vals = self._facet_dots(P - z)
+        vals /= -(normals @ z + offsets)[:, None]
+        return vals.max(axis=0)
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -719,6 +737,10 @@ class SpaceTimeBox:
         t = rng.uniform(self.t_lo, self.t_hi, size=k)
         return x, t
 
+    def contains_many(self, X, T) -> np.ndarray:
+        T = np.asarray(T, dtype=float)
+        return self.body.contains_many(X) & (T >= self.t_lo) & (T <= self.t_hi)
+
     def contains(self, x, t) -> bool:
         return self.t_lo <= t <= self.t_hi and self.body.contains(x)
 
@@ -823,19 +845,6 @@ class CylinderRegion(ParabolicRegion):
     def contains_many(self, X, T):
         T = np.asarray(T, dtype=float)
         return self.base.contains_many(X) & (T >= self.t_lo) & (T <= self.t_hi)
-
-
-class PredicateRegion(ParabolicRegion):
-    """Region given by an arbitrary membership predicate plus bounds."""
-
-    def __init__(self, fn, dim, alpha, x_lo, x_hi, t_lo, t_hi):
-        super().__init__(dim, alpha, x_lo, x_hi, t_lo, t_hi)
-        self._fn = fn
-
-    def contains_many(self, X, T):
-        X = np.asarray(X, dtype=float)
-        T = np.asarray(T, dtype=float)
-        return np.asarray(self._fn(X, T), dtype=bool)
 
 
 class UnionRegion(ParabolicRegion):
@@ -991,6 +1000,11 @@ def body_from_json(data: dict) -> ConvexBody:
     if kind == "polytope":
         return Polytope(np.asarray(data["vertices"], dtype=float))
     raise ValueError(f"unknown body kind: {kind!r}")
+
+
+def spacetime_box_from_json(data: dict) -> SpaceTimeBox:
+    """Build a box from {"body": {...}, "t_lo": ..., "t_hi": ...}; "kind" is optional."""
+    return SpaceTimeBox(body_from_json(data["body"]), float(data["t_lo"]), float(data["t_hi"]))
 
 
 def body_to_json(body: ConvexBody) -> dict:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .convolve import PoissonIndicatorField
 from .fields import ScalarField, SpaceTimeField
-from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox, body_from_json
+from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox
+from .geometry import body_from_json, spacetime_box_from_json
 
 __all__ = [
     "MaxProblem",
@@ -399,9 +400,7 @@ def problem_from_json(data: dict) -> MaxProblem:
 def feasible_from_json(fspec: dict):
     """Feasible-set descriptor: a body, a space-time box, or a degenerate box."""
     if fspec.get("kind") == "spacetime_box":
-        return SpaceTimeBox(
-            body_from_json(fspec["body"]), float(fspec["t_lo"]), float(fspec["t_hi"])
-        )
+        return spacetime_box_from_json(fspec)
     if fspec.get("kind") == "box":
         lo = np.atleast_1d(np.asarray(fspec["lo"], dtype=float))
         hi = np.atleast_1d(np.asarray(fspec["hi"], dtype=float))

@@ -13,6 +13,7 @@ from concavekit.concavity import (
     check_quasi_concavity_superlevel,
     classify_equality,
 )
+from concavekit.convolve import ConvolutionField, QuadratureSpec
 from concavekit.fields import (
     ConstantField,
     GaussWeierstrassKernel,
@@ -29,7 +30,7 @@ from concavekit.fields import (
     radialize,
     shifted,
 )
-from concavekit.geometry import Box, Interval, SpaceTimeBox
+from concavekit.geometry import Box, Interval, SpaceTimeBox, time_scaled_region
 from concavekit.means import mean_p
 from concavekit.sampling import SamplingError, make_rng
 
@@ -44,6 +45,23 @@ class _TimeOnly(SpaceTimeField):
 
     def _eval(self, P, T):
         return T.copy()
+
+
+def _two_bumps():
+    """A grid field with two separated plateaus: not quasi-concave."""
+    vals = np.zeros(41)
+    vals[5:10] = 1.0
+    vals[30:35] = 1.0
+    return GridField(vals, [-2.0], [2.0])
+
+
+class _Bumpy(SpaceTimeField):
+    """Oscillates in x, so it is not parabolically log-concave."""
+
+    dim = 1
+
+    def _eval(self, P, T):
+        return 1.0 + np.sin(4 * P[:, 0]) ** 2
 
 
 class TestSpatialChecks:
@@ -77,10 +95,7 @@ class TestSpatialChecks:
         assert check_p_concavity(tent, 1.0, cfg, strict=True).verdict == EQUALITY_OFF_SPEC
 
     def test_violation_detected_with_replaying_witness(self):
-        vals = np.zeros(41)
-        vals[5:10] = 1.0
-        vals[30:35] = 1.0
-        f = GridField(vals, [-2.0], [2.0])
+        f = _two_bumps()
         cfg = CheckConfig(samples=3000, seed=6, domain=Interval(-2, 2))
         rep = check_p_concavity(f, -INF, cfg)
         assert rep.verdict == VIOLATION
@@ -134,12 +149,8 @@ class TestSuperLevel:
         assert check_quasi_concavity_superlevel(f, cfg).verdict == PASS
 
     def test_two_bump_fails(self):
-        vals = np.zeros(41)
-        vals[5:10] = 1.0
-        vals[30:35] = 1.0
-        f = GridField(vals, [-2.0], [2.0])
         cfg = CheckConfig(samples=2000, seed=10, domain=Interval(-2, 2))
-        assert check_quasi_concavity_superlevel(f, cfg).verdict == VIOLATION
+        assert check_quasi_concavity_superlevel(_two_bumps(), cfg).verdict == VIOLATION
 
     def test_constant_field_passes(self):
         f = ConstantField(2.0, 1)
@@ -186,14 +197,8 @@ class TestParabolicChecks:
         )
 
     def test_non_concave_field_violates(self):
-        class Bumpy(SpaceTimeField):
-            dim = 1
-
-            def _eval(self, P, T):
-                return 1.0 + np.sin(4 * P[:, 0]) ** 2
-
         cfg = CheckConfig(samples=2000, seed=16, domain=STB)
-        rep = check_parabolic_p_concavity(Bumpy(), 0.5, 0.0, cfg, mode="plain")
+        rep = check_parabolic_p_concavity(_Bumpy(), 0.5, 0.0, cfg, mode="plain")
         assert rep.verdict == VIOLATION
 
     def test_restriction_to_slices(self):
@@ -298,3 +303,245 @@ class TestConfigValidation:
         rep = check_p_concavity(f, 0.0, cfg)
         data = rep.to_json()
         assert set(data) >= {"verdict", "worst_margin", "witness", "samples", "seed", "tolerance"}
+
+
+def _cfg(samples, seed, domain):
+    return CheckConfig(samples=samples, seed=seed, domain=domain)
+
+
+# The exact report of one case per verdict, checker, mode and domain kind:
+# a change to any margin, floor or witness bit shows here.
+PINNED_CHECKS = {
+    "spatial_plain_pass": lambda: check_p_concavity(
+        GaussWeierstrassSlice(2, 1.0), 0.0, _cfg(400, 3, Box([-2, -2], [2, 2]))
+    ),
+    "spatial_strict_pass": lambda: check_p_concavity(
+        PoissonSlice(1, 1.0), -0.5, _cfg(400, 4, Interval(-3, 3)), strict=True
+    ),
+    "spatial_strict_tent_off_spec": lambda: check_p_concavity(
+        TentField(Interval(-1, 1)), 1.0, _cfg(400, 5, Interval(-0.9, 0.9)), strict=True
+    ),
+    "spatial_strict_zero_set_off_spec": lambda: check_p_concavity(
+        radialize(RadialProfile(lambda r: np.maximum(0.0, 1.0 - r**2)), 1),
+        1.0,
+        _cfg(400, 71, Interval(-3, 3)),
+        strict=True,
+    ),
+    "spatial_plain_violation": lambda: check_p_concavity(
+        _two_bumps(), -INF, _cfg(400, 6, Interval(-2, 2))
+    ),
+    "spatial_plain_all_trivial": lambda: check_p_concavity(
+        IndicatorField(Interval(10, 11)), 1.0, _cfg(200, 7, Interval(-1, 1))
+    ),
+    "parabolic_plain_pass": lambda: check_parabolic_p_concavity(
+        lift(TentField(Interval(-1, 1)), 1.0, 1.0), 1.0, 1.0, _cfg(400, 14, STB)
+    ),
+    "parabolic_plain_violation": lambda: check_parabolic_p_concavity(
+        _Bumpy(), 0.5, 0.0, _cfg(400, 16, STB)
+    ),
+    "parabolic_strict_off_spec": lambda: check_parabolic_p_concavity(
+        GaussWeierstrassKernel(1), 0.5, -1.0, _cfg(400, 15, STB), mode="strict"
+    ),
+    "parabolic_almost_strict_hat_region": lambda: check_parabolic_p_concavity(
+        GaussWeierstrassKernel(1),
+        0.5,
+        -1.0,
+        _cfg(400, 12, time_scaled_region(Interval(-1, 1), 0.5)),
+        mode="almost_strict",
+    ),
+    "parabolic_almost_strict_alpha0": lambda: check_parabolic_p_concavity(
+        conjugate0(lift(TentField(Interval(-1, 1)), 1.0, 1.0)),
+        0.0,
+        1.0,
+        _cfg(400, 19, SpaceTimeBox(Interval(-1.5, 1.5), 1.5, 6.0)),
+        mode="almost_strict",
+    ),
+    "parabolic_strict_quadrature": lambda: check_parabolic_p_concavity(
+        ConvolutionField(
+            GaussWeierstrassKernel(1),
+            IndicatorField(Interval(-1, 1)),
+            QuadratureSpec(support=Interval(-1, 1), points_per_axis=64),
+        ),
+        0.5,
+        -INF,
+        _cfg(40, 45, STB),
+        mode="strict",
+    ),
+}
+
+PINNED_BITS = {
+    "parabolic_almost_strict_alpha0": (
+        "equality_off_spec",
+        "-0x1.e19aca1f3c485p-48",
+        (
+            ("x0", "0x1.7e03a55ff5e7ap+0"),
+            ("t0", "0x1.484eb0a1604c8p+2"),
+            ("x1", "0x1.7f566418bc7e4p+0"),
+            ("t1", "0x1.1f46e045a2534p+2"),
+            ("lambda", "0x1.d6c9c508550d1p-1"),
+            ("phi0", "0x1.2480f58816ea6p-3"),
+            ("phi1", "0x1.1010504326246p-8"),
+            ("phi_comb", "0x1.f5ca079a3b613p-7"),
+            ("rhs", "0x1.f5ca079a3b64ep-7"),
+        ),
+    ),
+    "parabolic_almost_strict_hat_region": (
+        "pass",
+        "-0x1.a1f391ba13678p-53",
+        (
+            ("x0", "0x1.f41e0742dd360p-5"),
+            ("t0", "0x1.7ae046f6c1c8cp-1"),
+            ("x1", "0x1.119c0bf941702p-4"),
+            ("t1", "0x1.c59a60e125275p-1"),
+            ("lambda", "0x1.796aeab539ae2p-1"),
+            ("phi0", "0x1.4f60c48789cd2p-2"),
+            ("phi1", "0x1.3282a83924a82p-2"),
+            ("phi_comb", "0x1.399b164430a0ap-2"),
+            ("rhs", "0x1.399b164430a0bp-2"),
+        ),
+    ),
+    "parabolic_plain_pass": (
+        "pass",
+        "-0x1.473c2e7eff501p-50",
+        (
+            ("x0", "0x1.5d77a4554956cp-1"),
+            ("t0", "0x1.82cec3eeb18d0p-1"),
+            ("x1", "0x1.660cb71b67625p-1"),
+            ("t1", "0x1.8c4e9826f0dbap-1"),
+            ("lambda", "0x1.d679592b2bdacp-3"),
+            ("phi0", "0x1.2ab8fccb41b21p-4"),
+            ("phi1", "0x1.320f085c4bca8p-4"),
+            ("phi_comb", "0x1.2c686b39fe8bep-4"),
+            ("rhs", "0x1.2c686b39fe8c4p-4"),
+        ),
+    ),
+    "parabolic_plain_violation": (
+        "violation",
+        "-0x1.1da0e4f49bb1dp-3",
+        (
+            ("x0", "-0x1.a62f5b6b5789ap+0"),
+            ("t0", "0x1.fc051b4191a4fp+1"),
+            ("x1", "0x1.a54a9742c5480p-3"),
+            ("t1", "0x1.44214330ac67cp+1"),
+            ("lambda", "0x1.0705de0a80ca4p-1"),
+            ("phi0", "0x1.185708a694917p+0"),
+            ("phi1", "0x1.89932653a1d84p+0"),
+            ("phi_comb", "0x1.1f2c799f04ba3p+0"),
+            ("rhs", "0x1.4db7545df3b63p+0"),
+        ),
+    ),
+    "parabolic_strict_off_spec": (
+        "equality_off_spec",
+        "-0x1.0120f0e7425d5p-52",
+        (
+            ("x0", "0x1.5978ffece5422p+0"),
+            ("t0", "0x1.305d857c3b23cp+1"),
+            ("x1", "0x1.abb9c34d83d01p+0"),
+            ("t1", "0x1.d28cd93d47e76p+1"),
+            ("lambda", "0x1.cbc6be79d82f8p-1"),
+            ("phi0", "0x1.355ea46cd4f0ap-3"),
+            ("phi1", "0x1.f3c0fd716197dp-4"),
+            ("phi_comb", "0x1.fdc0a792613c9p-4"),
+            ("rhs", "0x1.fdc0a792613cbp-4"),
+        ),
+    ),
+    "parabolic_strict_quadrature": (
+        "pass",
+        "0x1.2ddee847d6e01p-26",
+        (
+            ("x0", "-0x1.d4fea39236150p-2"),
+            ("t0", "0x1.49b4d9a06d1ebp+1"),
+            ("x1", "-0x1.d4fea39236150p-2"),
+            ("t1", "0x1.49b4f13bd92f2p+1"),
+            ("lambda", "0x1.edba54960ce43p-1"),
+            ("phi0", "0x1.5611f793310c8p-2"),
+            ("phi1", "0x1.5611ec898d846p-2"),
+            ("phi_comb", "0x1.5611ecee64bfcp-2"),
+            ("rhs", "0x1.5611ec898d846p-2"),
+        ),
+    ),
+    "spatial_plain_all_trivial": (
+        "pass",
+        "0x0.0p+0",
+        None,
+    ),
+    "spatial_plain_pass": (
+        "pass",
+        "0x1.4f9c470209942p-32",
+        (
+            ("x0", "0x1.4f3b36ca081b8p-1", "-0x1.906d1a5b034f0p-2"),
+            ("x1", "0x1.4f3655619b1a8p-1", "-0x1.908af061056d1p-2"),
+            ("lambda", "0x1.80e7371a76b60p-4"),
+            ("f0", "0x1.19d70cbec7633p-4"),
+            ("f1", "0x1.19d652cd6866cp-4"),
+            ("f_comb", "0x1.19d6fb4713b1dp-4"),
+            ("rhs", "0x1.19d6fb45a2357p-4"),
+        ),
+    ),
+    "spatial_plain_violation": (
+        "violation",
+        "-0x1.1e8b72de0be1fp-1",
+        (
+            ("x0", "-0x1.83a22d4c7cc44p+0"),
+            ("x1", "0x1.e20da427b551cp-1"),
+            ("lambda", "0x1.9d94d078bc940p-3"),
+            ("f0", "0x1.b754760640ab1p-1"),
+            ("f1", "0x1.a910d31a2a60bp-2"),
+            ("f_comb", "0x1.76594f804be0cp-3"),
+            ("rhs", "0x1.a910d31a2a60bp-2"),
+        ),
+    ),
+    "spatial_strict_pass": (
+        "pass",
+        "0x1.de8d12284f01bp-39",
+        (
+            ("x0", "0x1.eddf121d52ea0p+0"),
+            ("x1", "0x1.eddc9d9211a53p+0"),
+            ("lambda", "0x1.e2ab084aab813p-1"),
+            ("f0", "0x1.142025b6ef906p-4"),
+            ("f1", "0x1.14224fb79db1ap-4"),
+            ("f_comb", "0x1.14222ffa7ab36p-4"),
+            ("rhs", "0x1.14222ffa76ab0p-4"),
+        ),
+    ),
+    "spatial_strict_tent_off_spec": (
+        "equality_off_spec",
+        "-0x1.73a3110ca06edp-51",
+        (
+            ("x0", "0x1.5d9b12beeaf3dp-1"),
+            ("x1", "0x1.c9fd5efb07a5bp-1"),
+            ("lambda", "0x1.c6c065439cb33p-1"),
+            ("f0", "0x1.44c9da822a186p-2"),
+            ("f1", "0x1.b0150827c2d28p-4"),
+            ("f_comb", "0x1.0884256df3f3cp-3"),
+            ("rhs", "0x1.0884256df3f3fp-3"),
+        ),
+    ),
+    "spatial_strict_zero_set_off_spec": (
+        "equality_off_spec",
+        "0x0.0p+0",
+        (
+            ("x0", "0x1.05593cfaef0f4p+1"),
+            ("x1", "0x1.4cce718f2e08ap+1"),
+            ("lambda", "0x1.c5916b8a861bcp-1"),
+            ("f0", "0x0.0p+0"),
+            ("f1", "0x0.0p+0"),
+            ("f_comb", "0x0.0p+0"),
+            ("rhs", "0x0.0p+0"),
+        ),
+    ),
+}
+
+
+def _report_bits(rep):
+    """Verdict, worst margin and witness values of a report, as exact hex."""
+    witness = rep.witness and tuple(
+        (k, *(float(u).hex() for u in np.atleast_1d(v))) for k, v in rep.witness.items()
+    )
+    return rep.verdict, float(rep.worst_margin).hex(), witness
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+    def test_report_bits(self, name):
+        assert _report_bits(PINNED_CHECKS[name]()) == PINNED_BITS[name]

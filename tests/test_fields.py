@@ -18,6 +18,7 @@ from concavekit.fields import (
     ProductField,
     PullbackField,
     RadialProfile,
+    ScalarField,
     TentField,
     conjugate0,
     conjugate0_inverse,
@@ -348,6 +349,11 @@ class TestFieldJson:
             },
             {"kind": "conjugate0", "field": {"kind": "gauss_weierstrass", "n": 1}},
             {"kind": "shifted_product", "field": {"kind": "poisson_kernel", "n": 1}},
+            {
+                "kind": "tent",
+                "body": {"kind": "box", "lo": [0, 0], "hi": [2, 2]},
+                "center": [0.5, 0.5],
+            },
         ],
     )
     def test_round_trip(self, descriptor):
@@ -355,6 +361,26 @@ class TestFieldJson:
         back = field_from_json(field_to_json(f))
         assert type(back) is type(f)
         assert back.dim == f.dim
+        rng = make_rng(31)
+        X = rng.uniform(-1.5, 2.5, size=(64, f.dim))
+        args = (X,) if isinstance(f, ScalarField) else (X, rng.uniform(1.5, 3.0, size=64))
+        assert np.array_equal(back(*args), f(*args))
+
+    def test_tent_center_round_trip(self):
+        f = TentField(Box([0, 0], [2, 2]), center=[0.5, 0.5])
+        back = field_from_json(field_to_json(f))
+        assert back([0.5, 0.5]) == f([0.5, 0.5]) == 1.0
+        # descriptors written without a centre anchor the tent at the body's own point
+        box = {"kind": "box", "lo": [0, 0], "hi": [2, 2]}
+        plain = field_from_json({"kind": "tent", "body": box})
+        assert plain([1.0, 1.0]) == 1.0
+
+    @pytest.mark.parametrize("center", [[0.5], 0.5, [[0.5, 0.5]], [0.5, 0.5, 0.5]])
+    def test_tent_center_shape(self, center):
+        # a centre that would broadcast must not load as a tent anchored elsewhere
+        box = {"kind": "box", "lo": [0, 0], "hi": [2, 2]}
+        with pytest.raises(ValueError):
+            field_from_json({"kind": "tent", "body": box, "center": center})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -406,6 +406,26 @@ class TestPolytope3d:
         assert body.contains_many(pts).all()
 
 
+class TestPolytopeFacetPoints:
+    def test_membership_does_not_depend_on_the_batch(self):
+        # points on the facet planes of random hulls sit exactly where the
+        # rounding of a_i.x decides membership at tol = 0; a point must get
+        # the same answer alone as in a batch
+        from scipy.spatial import ConvexHull
+
+        rng = make_rng(37)
+        for k in range(50):
+            dim = 2 + k % 2
+            poly = Polytope(rng.normal(size=(4 + 3 * dim, dim)))
+            for simplex in ConvexHull(poly.vertices).simplices:
+                pts = rng.dirichlet(np.ones(dim), size=8) @ poly.vertices[simplex]
+                alone = [poly.contains(x, tol=0.0) for x in pts]
+                assert poly.contains_many(pts, tol=0.0).tolist() == alone
+                z = poly.interior_point()
+                g = poly.gauge(pts, z)
+                assert all(poly.gauge(x[None, :], z)[0] == gi for x, gi in zip(pts, g))
+
+
 class TestHalfSpaceAndJson:
     def test_halfspace_normal_validation(self):
         with pytest.raises(ValueError):
@@ -458,8 +478,11 @@ def _reduce_membership(body, p, tol):
     if isinstance(body, Ball):
         return np.linalg.norm(p - body.center, axis=1) <= body.radius + tol
     if isinstance(body, Polytope):
+        # facet values summed coordinate by coordinate, so no row's bits
+        # depend on the batch it is tested in
         eq = body._equations
-        return (p @ eq[:, :-1].T + eq[:, -1] <= tol).all(axis=1)
+        dots = sum(p[:, j : j + 1] * eq[:, j] for j in range(body.dim))
+        return (dots + eq[:, -1] <= tol).all(axis=1)
     return (p @ body.normals.T <= tol).all(axis=1)
 
 
