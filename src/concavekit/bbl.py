@@ -17,9 +17,28 @@ the tolerance is calibrated from the same computation at half resolution
 (which doubles that bias), plus the matching mass-quadrature bias on the
 right side.
 
+Which pairs are evaluated.  A row y pairs with a node y0 of f0's grid
+through the partner y1 = (y - (1-lam) y0) / lam.  Only nodes whose partner
+can lie in f1's support bounding box [lo1, hi1] are enumerated, the box
+widened per axis by 1e-9 (1 + |lo1| + |hi1| + (|lo0| + |hi0|) / lam), with
+[lo0, hi0] f0's box.  On a tensor grid these nodes form one index range per
+axis, found by binary search.  Nodes where f0 = 0 are dropped, f1 is
+evaluated and validated on the remaining pairs only, and the key below is
+computed where f1 > 0.  This relies on the contract of
+``ScalarField.support``: a field vanishes outside its support's bounding box
+widened by 1e-9 (1 + |lo| + |hi|), which covers the membership tolerance;
+the slack above adds the rounding of the partners.  f1 values outside the
+widened box are never computed, so they are never checked either, and a
+field that is positive there loses those values without an error.
+
+Rows are processed in blocks of at most ``_PAIR_BUDGET`` (2**14) pairs, a
+single row larger than that being its own block, so memory does not grow
+with the grid.
+
 Each grid row's maximizing pair is found with a float64 key that increases
-with M_ell (log M_ell for finite ell, max/min at ell = +/-inf); ``mean_p``
-then runs once per row, on that pair.  So every reported value comes from
+with M_ell (log M_ell for finite ell, max/min at ell = +/-inf), the first
+such pair in flat-grid order as ``argmax`` would pick it; ``mean_p`` then
+runs once per row, on that pair.  So every reported value comes from
 ``mean_p`` in extended precision, and a near-tie the key misorders costs a
 few ulps of the sup.
 """
@@ -28,15 +47,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .convolve import ResolutionError
 from .fields import ScalarField
-from .geometry import NotRepresentableError, midpoint_grid, minkowski_combine
+from .geometry import NotRepresentableError, midpoint_axes, midpoint_grid, minkowski_combine
 from .means import _P_GEOMETRIC, bbl_exponent, mean_p
 
 __all__ = ["BBLInstance", "BBLReport", "sup_convolution", "verify_bbl", "instance_from_json"]
+
+# Pair-sized arrays of a 2**14-pair block stay near malloc's mmap threshold
+# (128 KB), so blocks reuse heap memory instead of faulting in fresh pages:
+# on 150 bbl_sweep jobs (2-vCPU x86-64) blocks of 2**17 pairs took 26x the
+# page faults and 25% more CPU time
+_PAIR_BUDGET = 1 << 14
+
+# relative widening of f1's support box before pairs are pruned
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,63 +124,145 @@ class BBLReport:
 
 
 def _log_mean_key(ell: float, a, b, lam: float) -> np.ndarray:
-    """Float64 key increasing in M_ell(a, b; lam) for a > 0; -inf where b == 0.
+    """Float64 key increasing in M_ell(a, b; lam) for a, b > 0 (broadcast together).
 
     For finite ell it is log M_ell = (hi + log1p(w expm1(-|x - y|))) / ell with
     x = ell log a, y = ell log b, hi = max(x, y), w the weight of the smaller
     term: raw powers s**ell underflow and tie at large |ell|, and a log-sum-exp
     of log(1-lam) + x, log(lam) + y loses eps/|ell| of resolution at small |ell|.
-    ``a`` broadcasts against ``b``; the key is computed only where b > 0, in
-    place on those pairs.
+    The key is computed in place on a b-shaped array.
     """
-    live = b > 0
-
-    def gather(v):
-        return np.broadcast_to(v, b.shape)[live]
-
-    y = b[live]
     if math.isinf(ell):
-        (np.maximum if ell > 0 else np.minimum)(gather(a), y, out=y)
-    else:
-        with np.errstate(divide="ignore"):
-            la = np.log(a)
-        np.log(y, out=y)
-        if abs(ell) < _P_GEOMETRIC:
-            y *= lam
-            y += gather((1 - lam) * la)
-        else:
-            x = gather(ell * la)
-            y *= ell
-            w = np.where(x >= y, lam, 1 - lam)
-            d = x - y
-            np.abs(d, out=d)
-            np.negative(d, out=d)
-            np.expm1(d, out=d)
-            d *= w
-            np.log1p(d, out=d)
-            np.maximum(x, y, out=y)
-            y += d
-            y /= ell
-    key = np.full(b.shape, -np.inf)
-    key[live] = y
-    return key
+        return (np.maximum if ell > 0 else np.minimum)(a, b)
+    la = np.log(a)
+    y = np.log(b)
+    if abs(ell) < _P_GEOMETRIC:
+        y *= lam
+        y += (1 - lam) * la
+        return y
+    x = ell * la
+    y *= ell
+    w = np.where(x >= y, lam, 1 - lam)
+    d = x - y
+    np.abs(d, out=d)
+    np.negative(d, out=d)
+    np.expm1(d, out=d)
+    d *= w
+    np.log1p(d, out=d)
+    np.maximum(x, y, out=y)
+    y += d
+    y /= ell
+    return y
 
 
-def _sup_grid(inst: BBLInstance, Y: np.ndarray, ppa: int) -> np.ndarray:
-    """Grid sup-convolution at the rows of Y: ``mean_p`` on each row's top-ranked pair."""
-    y0, _ = midpoint_grid(*inst.f0.support.bounding_box(), ppa)
-    v0 = inst.f0(y0)
-    pos = v0 > 0
-    y0, v0 = y0[pos], v0[pos]
-    if len(y0) == 0:
-        return np.zeros(len(Y))
-    # y1 determined by the decomposition y = (1-lam) y0 + lam y1
-    y1 = (Y[:, None, :] - (1 - inst.lam) * y0[None, :, :]) / inst.lam
-    v1 = inst.f1(y1.reshape(-1, inst.dim)).reshape(len(Y), len(y0))
-    if not (np.isfinite(v1).all() and (v1 >= 0).all()):
-        raise ValueError("mean operands must be nonnegative reals")
-    best = _log_mean_key(inst.ell, v0, v1, inst.lam).argmax(axis=1)
-    return mean_p(inst.ell, v0[best], v1[np.arange(len(Y)), best], inst.lam)
+class _Grid(NamedTuple):
+    """A field on the midpoint grid of its support's bounding box."""
+
+    axes: list  # per-axis cell midpoints
+    pts: np.ndarray  # their tensor grid, last axis fastest
+    values: np.ndarray
+    cell: float
+
+    @property
+    def mass(self) -> float:
+        return float(self.values.sum() * self.cell)
+
+
+def _field_grid(f: ScalarField, ppa: int) -> _Grid:
+    lo, hi = f.support.bounding_box()
+    pts, cell = midpoint_grid(lo, hi, ppa)
+    return _Grid(midpoint_axes(lo, hi, ppa), pts, f(pts), cell)
+
+
+def _partner_ranges(inst: BBLInstance, Y: np.ndarray, axes0: list):
+    """Per row of Y and per axis, the range [first, end) of f0's grid indices
+    whose partner can lie in f1's widened support box."""
+    lam = inst.lam
+    lo0, hi0 = inst.f0.support.bounding_box()
+    lo1, hi1 = inst.f1.support.bounding_box()
+    # covers the membership tolerance, and the rounding of the partners and
+    # of the inverted bounds below, whose scale is that of y / lam
+    slack = _PRUNE_SLACK * (1 + abs(lo1) + abs(hi1) + (abs(lo0) + abs(hi0)) / lam)
+    first = np.empty(Y.shape, dtype=np.intp)
+    end = np.empty(Y.shape, dtype=np.intp)
+    for i, axis in enumerate(axes0):
+        # the partner (y - (1-lam) y0) / lam decreases in y0
+        first[:, i] = np.searchsorted(axis, (Y[:, i] - lam * (hi1[i] + slack[i])) / (1 - lam))
+        end[:, i] = np.searchsorted(
+            axis, (Y[:, i] - lam * (lo1[i] - slack[i])) / (1 - lam), side="right"
+        )
+    return first, np.maximum(end, first)
+
+
+def _pairs(first: np.ndarray, end: np.ndarray, ppa: int):
+    """(row, flat grid node) of every pair in the index boxes [first, end) per row.
+
+    Rows ascend, and each row's nodes come in flat-grid order: a segment per
+    (row, leading indices) holds a contiguous run of the flat index.
+    """
+    rows = np.arange(len(first))
+    node = np.zeros(len(first), dtype=np.intp)
+    for i in range(first.shape[1]):
+        count = end[rows, i] - first[rows, i]
+        # the runs [start, start + count) of each segment, concatenated
+        start = node * ppa + first[rows, i] - (np.cumsum(count) - count)
+        node = np.arange(count.sum()) + np.repeat(start, count)
+        rows = np.repeat(rows, count)
+    return rows, node
+
+
+def _row_blocks(pairs_per_row: np.ndarray):
+    """Consecutive row ranges of at most _PAIR_BUDGET pairs, or single rows."""
+    cum = np.cumsum(pairs_per_row)
+    r0 = 0
+    while r0 < len(cum):
+        base = cum[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(cum, base + _PAIR_BUDGET, side="right")))
+        yield r0, r1
+        r0 = r1
+
+
+def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
+    """Grid sup-convolution at the rows of Y: ``mean_p`` on each row's top-ranked pair.
+
+    ``grid0`` is f0 on its midpoint grid.  Rows without a pair where both
+    values are positive get 0.
+    """
+    lam = inst.lam
+    first, end = _partner_ranges(inst, Y, grid0.axes)
+    w0 = (1 - lam) * grid0.pts
+    top0 = np.zeros(len(Y))
+    top1 = np.zeros(len(Y))
+    for r0, r1 in _row_blocks(np.prod(end - first, axis=1)):
+        rows, node = _pairs(first[r0:r1], end[r0:r1], len(grid0.axes[0]))
+        v0 = grid0.values.take(node)
+        keep = v0 > 0
+        if not keep.all():
+            rows, node, v0 = rows[keep], node[keep], v0[keep]
+        if len(rows) == 0:
+            continue
+        # y1 determined by the decomposition y = (1-lam) y0 + lam y1; take,
+        # because numpy gathers 2-d rows by fancy indexing about 10x slower
+        y1 = Y[r0:r1].take(rows, axis=0)
+        y1 -= w0.take(node, axis=0)
+        y1 /= lam
+        v1 = inst.f1(y1)
+        if not (np.isfinite(v1).all() and (v1 >= 0).all()):
+            raise ValueError("mean operands must be nonnegative reals")
+        keep = v1 > 0
+        if not keep.all():
+            rows, v0, v1 = rows[keep], v0[keep], v1[keep]
+        # each row's first pair of largest key, as argmax would pick it
+        bounds = np.searchsorted(rows, np.arange(r1 - r0 + 1))
+        hit = np.flatnonzero(bounds[1:] > bounds[:-1])
+        starts = bounds[hit]
+        key = _log_mean_key(inst.ell, v0, v1, lam)
+        top = np.maximum.reduceat(key, starts)
+        best = np.flatnonzero(key == np.repeat(top, np.diff(bounds)[hit]))
+        best = best[np.searchsorted(best, starts)]
+        top0[r0 + hit] = v0[best]
+        top1[r0 + hit] = v1[best]
+    return mean_p(inst.ell, top0, top1, lam)
 
 
 def sup_convolution(inst: BBLInstance, y) -> float:
@@ -162,7 +273,8 @@ def sup_convolution(inst: BBLInstance, y) -> float:
     positive value exists at y but the grid cannot find one.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = float(_sup_grid(inst, y[None, :], inst.points_per_axis)[0])
+    grid0 = _field_grid(inst.f0, inst.points_per_axis)
+    out = float(_sup_grid(inst, y[None, :], grid0)[0])
     if out == 0.0:
         try:
             comb = minkowski_combine(1 - inst.lam, inst.f0.support, inst.lam, inst.f1.support)
@@ -190,13 +302,9 @@ def _lhs_and_masses(inst: BBLInstance, ppa: int):
     lo1, hi1 = inst.f1.support.bounding_box()
     lam = inst.lam
     Y, cell = midpoint_grid((1 - lam) * lo0 + lam * lo1, (1 - lam) * hi0 + lam * hi1, ppa)
-    lhs = float(_sup_grid(inst, Y, ppa).sum() * cell)
-
-    def mass(f):
-        pts, c = midpoint_grid(*f.support.bounding_box(), ppa)
-        return float(f(pts).sum() * c)
-
-    return lhs, mass(inst.f0), mass(inst.f1)
+    grid0 = _field_grid(inst.f0, ppa)
+    lhs = float(_sup_grid(inst, Y, grid0).sum() * cell)
+    return lhs, grid0.mass, _field_grid(inst.f1, ppa).mass
 
 
 def verify_bbl(inst: BBLInstance) -> BBLReport:

@@ -77,7 +77,18 @@ def _pts(x, dim: int):
 
 
 class ScalarField:
-    """Nonnegative function on R^n with optional compact support."""
+    """Nonnegative function on R^n with optional compact support.
+
+    ``support``, when set, is a convex body, and the field vanishes outside
+    its bounding box [lo, hi] widened per axis by 1e-9 (1 + |lo| + |hi|).
+    ``bbl`` relies on this contract: it never evaluates a field there, so a
+    positive value outside that slack is dropped without an error.  Fields
+    that vanish outside their support up to ``geometry._MEMBERSHIP_TOL``
+    keep it.  Possible exceptions are a ``PullbackField`` with |scale| < 1,
+    whose band is that tolerance over |scale|, and a small body with a sharp
+    polytope vertex of angle a, whose band there is the tolerance over
+    sin(a/2).
+    """
 
     dim: int
     support: ConvexBody | None = None

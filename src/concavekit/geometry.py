@@ -61,6 +61,7 @@ __all__ = [
     "body_from_json",
     "body_to_json",
     "spacetime_box_from_json",
+    "midpoint_axes",
     "midpoint_grid",
     "rowwise",
     "row_norm",
@@ -77,11 +78,20 @@ class NotRepresentableError(ValueError):
     """
 
 
-def midpoint_grid(lo, hi, ppa: int):
-    """(midpoints of shape (ppa**n, n), cell volume) of [lo, hi] cut into ppa cells per axis."""
+def midpoint_axes(lo, hi, ppa: int) -> list[np.ndarray]:
+    """The ppa increasing cell midpoints of [lo[i], hi[i]], for each axis i."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(len(lo))]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(len(lo))]
+
+
+def midpoint_grid(lo, hi, ppa: int):
+    """(midpoints of shape (ppa**n, n), cell volume) of [lo, hi] cut into ppa cells per axis.
+
+    The points are the tensor grid of ``midpoint_axes`` in C order: the last
+    axis runs fastest.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mesh = np.meshgrid(*midpoint_axes(lo, hi, ppa), indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     return pts, float(np.prod((hi - lo) / ppa))
 

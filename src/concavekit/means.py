@@ -94,29 +94,31 @@ def _mean_ld(p, a, b, lam):
             res[geo] = np.exp((1 - lf[geo]) * la[geo] + lf[geo] * lb[geo])
         gen = ~geo
         if gen.any():
-            # center on the geometric mean: log M = mu + log1p(w)/p with
-            # w = (1-lam) expm1(u) + lam expm1(v), u + weighted v = 0, so the
-            # small-p cancellation happens inside expm1 at full precision
-            mu = (1 - lf[gen]) * la[gen] + lf[gen] * lb[gen]
-            diff = la[gen] - lb[gen]
-            u = pf[gen] * lf[gen] * diff
-            v = -pf[gen] * (1 - lf[gen]) * diff
+            la, lb, lf, pf = la[gen], lb[gen], lf[gen], pf[gen]
+            diff = la - lb
+            u = pf * lf * diff
+            v = -pf * (1 - lf) * diff
             small = np.maximum(np.abs(u), np.abs(v)) <= 30.0
-            w = np.where(
-                small,
-                (1 - lf[gen]) * np.expm1(np.where(small, u, 0.0))
-                + lf[gen] * np.expm1(np.where(small, v, 0.0)),
-                0.0,
-            )
-            centered = np.exp(mu + np.log1p(w) / pf[gen])
-            # wide-exponent fallback: max-anchored weighted log-sum-exp
-            with np.errstate(divide="ignore"):
-                t0 = np.log1p(-lf[gen]) + pf[gen] * la[gen]
-                t1 = np.log(lf[gen]) + pf[gen] * lb[gen]
-            hi = np.maximum(t0, t1)
-            s = np.exp(t0 - hi) + np.exp(t1 - hi)
-            anchored = np.exp((hi + np.log(s)) / pf[gen])
-            res[gen] = np.where(small, centered, anchored)
+            big = ~small
+            r = np.empty(la.shape, dtype=np.longdouble)
+            if small.any():
+                # center on the geometric mean: log M = mu + log1p(w)/p with
+                # w = (1-lam) expm1(u) + lam expm1(v), u + weighted v = 0, so the
+                # small-p cancellation happens inside expm1 at full precision
+                lk = lf[small]
+                mu = (1 - lk) * la[small] + lk * lb[small]
+                w = (1 - lk) * np.expm1(u[small]) + lk * np.expm1(v[small])
+                r[small] = np.exp(mu + np.log1p(w) / pf[small])
+            if big.any():
+                # wide-exponent fallback: max-anchored weighted log-sum-exp
+                lk, pk = lf[big], pf[big]
+                with np.errstate(divide="ignore"):
+                    t0 = np.log1p(-lk) + pk * la[big]
+                    t1 = np.log(lk) + pk * lb[big]
+                hi = np.maximum(t0, t1)
+                s = np.exp(t0 - hi) + np.exp(t1 - hi)
+                r[big] = np.exp((hi + np.log(s)) / pk)
+            res[gen] = r
         out[fin] = res
     return out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from concavekit import bbl, convolve
 from concavekit.bbl import (
     BBLInstance,
+    _field_grid,
     _log_mean_key,
+    _partner_ranges,
     _sup_grid,
     instance_from_json,
     sup_convolution,
@@ -23,7 +26,7 @@ from concavekit.fields import (
     PullbackField,
     TentField,
 )
-from concavekit.geometry import Ball, Box, Interval, midpoint_grid
+from concavekit.geometry import Ball, Box, Interval, Polytope, midpoint_grid
 from concavekit.means import holder_exponent, mean_p
 from concavekit.sampling import make_rng
 
@@ -87,6 +90,10 @@ def pair_values(inst, Y, ppa):
     return v0, inst.f1(y1.reshape(-1, inst.dim)).reshape(len(Y), len(y0))
 
 
+def sup_grid(inst, Y, ppa):
+    return _sup_grid(inst, Y, _field_grid(inst.f0, ppa))
+
+
 def brute_pair_means(inst, Y, ppa):
     """Reference: mean_p on every pair; the sup-convolution is the row max."""
     v0, v1 = pair_values(inst, Y, ppa)
@@ -102,6 +109,29 @@ RANK_ELLS = {
     "400": lambda n: 400.0,
     "inf": lambda n: INF,
     "-inf": lambda n: -INF,
+}
+
+
+# pairs that pruning to f1's support box could get wrong: far-apart supports,
+# extreme lambda, 3-d grids, and f0 vanishing on part of its grid
+PRUNING_CASES = {
+    "far_apart": (("indicator", Interval(-3.0, -2.0)), ("tent", Interval(4.0, 5.5)), 0.5),
+    "lam_0.05": (("tent", Interval(-0.5, 1.0)), ("gauss", Interval(0.25, 2.0)), 0.05),
+    "lam_0.95": (("gauss", Interval(-0.5, 1.0)), ("tent", Interval(0.25, 2.0)), 0.95),
+    "2d_lam_0.05": (
+        ("tent", Box([-0.5, 0.0], [0.5, 1.25])), ("indicator", Box([0.0, -0.75], [1.5, 0.5])), 0.05,
+    ),
+    "3d_boxes": (
+        ("tent", Box([-0.5, 0.0, 0.25], [0.5, 1.25, 1.0])),
+        ("gauss", Box([0.0, -0.75, -1.0], [1.5, 0.5, 0.0])),
+        0.4,
+    ),
+    "ball_f0": (("tent", Ball([0.1, 0.2], 0.7)), ("indicator", Box([-0.5, -0.4], [0.6, 0.5])), 0.5),
+    "polytope_f0": (
+        ("indicator", Polytope([[0.0, 0.0], [1.0, 0.2], [0.7, 1.1], [-0.3, 0.6]])),
+        ("tent", Ball([1.0, -0.5], 0.6)),
+        0.35,
+    ),
 }
 
 
@@ -126,7 +156,7 @@ class TestSupGridRanking:
         if kind == "indicator":
             # every positive pair has the same mean: the rows are exact ties
             assert (vals == ref[:, None]).sum(axis=1).max() > 1
-        np.testing.assert_allclose(_sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
 
     def test_large_exponent_ranks_without_underflow(self):
         # raw powers s**400 underflow to 0 below s = 0.17 and tie there, so
@@ -136,7 +166,7 @@ class TestSupGridRanking:
         Y = padded_rows(inst, ppa)
         v0, v1 = pair_values(inst, Y, ppa)
         ref = mean_p(400.0, np.broadcast_to(v0, v1.shape), v1, 0.5).max(axis=1)
-        np.testing.assert_allclose(_sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
         raw = np.where(v1 > 0, v0**400 + v1**400, -1.0).argmax(axis=1)
         raw_sup = mean_p(400.0, v0[raw], v1[np.arange(len(Y)), raw], 0.5)
         assert np.abs(raw_sup - ref).max() > 1e-3 * ref.max()
@@ -147,15 +177,99 @@ class TestSupGridRanking:
             st.sampled_from([-1.0, -0.5, 1e-13, 0.0, 1.0, 400.0, INF, -INF]),
             st.floats(-1.0, 500.0),
         ),
+        kinds=st.tuples(*[st.sampled_from(["indicator", "tent", "gauss"])] * 2),
+        boxes=st.integers(1, 2).flatmap(
+            lambda n: st.tuples(*[st.tuples(*[st.floats(-2.0, 2.0)] * n)] * 2)
+        ),
+        widths=st.tuples(*[st.tuples(*[st.floats(0.25, 2.0)] * 2)] * 2),
     )
-    @example(lam=0.5, ell=400.0)
+    @example(
+        lam=0.5, ell=400.0, kinds=("tent", "tent"), boxes=((0.0,), (2.0,)),
+        widths=((1.0, 1.0), (2.0, 2.0)),
+    )
+    @example(
+        lam=0.3, ell=-INF, kinds=("gauss", "tent"), boxes=((-1.0, 0.5), (0.25, -2.0)),
+        widths=((1.5, 0.5), (0.75, 2.0)),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_property_matches_brute_force(self, lam, ell):
-        inst = BBLInstance(TentField(Interval(0, 1)), TentField(Interval(2, 4)), ell, lam, 64)
+    def test_property_matches_brute_force(self, lam, ell, kinds, boxes, widths):
+        # finite ell below -1/n is raised to it in 2-d; +-inf stay as drawn
+        dim = len(boxes[0])
+        if not math.isinf(ell):
+            ell = max(ell, -1.0 / dim)
+        data = [
+            data_field(kind, Box(lo, np.add(lo, w[:dim])))
+            for kind, lo, w in zip(kinds, boxes, widths)
+        ]
+        inst = BBLInstance(*data, ell, lam, 64 if dim == 1 else 144)
         ppa = inst.points_per_axis
         Y = padded_rows(inst, ppa)
         ref = brute_pair_means(inst, Y, ppa).max(axis=1)
-        np.testing.assert_allclose(_sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("ell", ["-1/n", "0", "1", "inf"])
+    @pytest.mark.parametrize("case", list(PRUNING_CASES))
+    def test_pruned_pairs_match_brute_force(self, case, ell):
+        d0, d1, lam = PRUNING_CASES[case]
+        dim = d0[1].dim
+        inst = BBLInstance(
+            data_field(*d0), data_field(*d1), RANK_ELLS[ell](dim), lam, (64, 144, 512)[dim - 1]
+        )
+        ppa = inst.points_per_axis
+        Y = padded_rows(inst, ppa)
+        grid0 = _field_grid(inst.f0, ppa)
+        first, end = _partner_ranges(inst, Y, grid0.axes)
+        pairs = np.prod(end - first, axis=1)
+        # rows without any admissible pair, and pairs pruned from the others
+        assert (pairs == 0).any() and 0 < pairs.sum() < len(Y) * len(grid0.pts)
+        if case in ("ball_f0", "polytope_f0"):
+            assert (grid0.values == 0).any()
+        ref = brute_pair_means(inst, Y, ppa).max(axis=1)
+        assert (ref == 0).any() and (ref > 0).any()
+        np.testing.assert_allclose(_sup_grid(inst, Y, grid0), ref, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("face", ["lo", "hi"])
+    def test_partner_on_face_of_f1_box(self, face, dim):
+        # f0's grid nodes are (2k + 1)/16 per axis and f1's box is narrower
+        # than the spacing 1/8 of one row's partners, so each row has one pair:
+        # its partner lies on the face, 0.5e-12 outside it (inside the
+        # membership tolerance), or 4e-12 outside it
+        inst = BBLInstance(
+            IndicatorField(Box([0.0] * dim, [1.0] * dim)),
+            IndicatorField(Box([2.0] * dim, [2.0625] * dim)),
+            0.0, 0.5, 8**dim,
+        )
+        node, bound, out = {"lo": (15 / 16, 2.0, -1.0), "hi": (1 / 16, 2.0625, 1.0)}[face]
+        Y = np.full((3, dim), (1 / 16 + 2.0625) / 2)
+        Y[:, 0] = (node + bound) / 2 + out * np.array([0.0, 0.5e-12, 4e-12]) / 2
+        ref = brute_pair_means(inst, Y, 8).max(axis=1)
+        np.testing.assert_array_equal(ref, [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(sup_grid(inst, Y, 8), ref)
+
+    def test_one_row_path_matches_brute_force(self):
+        d0, d1, lam = PRUNING_CASES["ball_f0"]
+        inst = BBLInstance(data_field(*d0), data_field(*d1), 1.0, lam, 400)
+        Y = padded_rows(inst, inst.points_per_axis)[::7]
+        ref = brute_pair_means(inst, Y, inst.points_per_axis).max(axis=1)
+        assert (ref == 0).any() and (ref > 0).any()
+        got = [sup_convolution(inst, y) for y in Y]
+        np.testing.assert_allclose(got, ref, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("case", ["3d_boxes", "ball_f0", "polytope_f0"])
+    def test_row_blocks_match_one_block(self, case, monkeypatch):
+        d0, d1, lam = PRUNING_CASES[case]
+        inst = BBLInstance(data_field(*d0), data_field(*d1), -0.25, lam, 512)
+        Y = padded_rows(inst, inst.points_per_axis)
+        grid0 = _field_grid(inst.f0, inst.points_per_axis)
+        monkeypatch.setattr(bbl, "_PAIR_BUDGET", 10**9)
+        whole = _sup_grid(inst, Y, grid0)
+        report = verify_bbl(inst)
+        monkeypatch.setattr(bbl, "_PAIR_BUDGET", 300)
+        first, end = _partner_ranges(inst, Y, grid0.axes)
+        assert len(list(bbl._row_blocks(np.prod(end - first, axis=1)))) > 10
+        np.testing.assert_array_equal(_sup_grid(inst, Y, grid0), whole)
+        assert verify_bbl(inst) == report
 
     @pytest.mark.parametrize("ell", [1e-13, 1e-9, 1e-6])
     def test_key_resolves_near_ties_at_small_exponents(self, ell):
@@ -184,6 +298,23 @@ class TestSupGridRanking:
 
     def test_one_resolution_error_class(self):
         assert bbl.ResolutionError is convolve.ResolutionError
+
+
+class TestMemory:
+    def test_grid_2500_peak(self):
+        # the whole (rows x nodes) partner array of this instance is 100 MB
+        inst = BBLInstance(
+            TentField(Ball([0.1, 0.2], 0.7)),
+            IndicatorField(Box([-0.5, -0.4], [0.6, 0.5])),
+            1.0, 0.5, 2500,
+        )
+        tracemalloc.start()
+        try:
+            verify_bbl(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestVerify:

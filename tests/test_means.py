@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from concavekit.means import (
     INF,
+    _mean_ld,
     NEG_INF,
     as_exponent,
     bbl_exponent,
@@ -101,6 +102,47 @@ class TestMeanP:
         vec = mean_p(2.5, a, b, lam)
         for i in range(20):
             assert vec[i] == mean_p(2.5, a[i], b[i], lam[i])
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-9, 0.5, 1.0])
+    def test_general_branch_matches_two_branch_form(self, lam):
+        # finite p takes the centred form where max(|u|, |v|) <= 30 and the
+        # max-anchored form elsewhere; computing each form only where it is
+        # taken must give the bits of computing both everywhere
+        ld = np.longdouble
+        x = np.linspace(-2.0, 2.0, 20)
+        # the p at which max(|u|, |v|) = 30 for b = a**-0.5, its neighbours, and a sweep
+        edge = 30.0 / (max(lam, 1 - lam) * 1.5 * np.abs(x))
+        ps = np.concatenate([edge, edge * (1 - 1e-12), edge * (1 + 1e-12), -edge])
+        p, x = np.meshgrid(np.concatenate([ps, np.linspace(-90.0, 90.0, 180)]), x)
+        p, a, b = (v.reshape(-1).astype(ld) for v in (p, np.exp(x), np.exp(-0.5 * x)))
+        lam = np.full(p.shape, lam, dtype=ld)
+        ref, small = two_branch_mean(p, a, b, lam)
+        assert small.any() and not small.all()
+        got = _mean_ld(p, a, b, lam)
+        assert got.dtype == ld and np.array_equal(got, ref)
+
+
+def two_branch_mean(p, a, b, lam):
+    """Former general-exponent branch of ``_mean_ld``: both forms on every element."""
+    la, lb = np.log(a), np.log(b)
+    mu = (1 - lam) * la + lam * lb
+    diff = la - lb
+    u = p * lam * diff
+    v = -p * (1 - lam) * diff
+    small = np.maximum(np.abs(u), np.abs(v)) <= 30.0
+    w = np.where(
+        small,
+        (1 - lam) * np.expm1(np.where(small, u, 0.0)) + lam * np.expm1(np.where(small, v, 0.0)),
+        0.0,
+    )
+    with np.errstate(all="ignore"):
+        centered = np.exp(mu + np.log1p(w) / p)
+        t0 = np.log1p(-lam) + p * la
+        t1 = np.log(lam) + p * lb
+        hi = np.maximum(t0, t1)
+        s = np.exp(t0 - hi) + np.exp(t1 - hi)
+        anchored = np.exp((hi + np.log(s)) / p)
+    return np.where(small, centered, anchored), small
 
 
 class TestHolderExponent:
