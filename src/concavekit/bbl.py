@@ -53,8 +53,9 @@ import numpy as np
 
 from .convolve import ResolutionError
 from .fields import ScalarField
-from .geometry import NotRepresentableError, midpoint_axes, midpoint_grid, minkowski_combine
-from .means import _P_GEOMETRIC, bbl_exponent, mean_p
+from .geometry import NotRepresentableError, check_keys, from_json, midpoint_axes
+from .geometry import midpoint_grid, minkowski_combine
+from .means import _P_GEOMETRIC, as_exponent, bbl_exponent, mean_p
 
 __all__ = ["BBLInstance", "BBLReport", "sup_convolution", "verify_bbl", "instance_from_json"]
 
@@ -337,13 +338,11 @@ def verify_bbl(inst: BBLInstance) -> BBLReport:
 
 
 def instance_from_json(data: dict) -> BBLInstance:
-    """Build an instance from {"f0": field, "f1": field, "ell": ..., "lambda": ...}."""
-    from .fields import field_from_json
-    from .means import as_exponent
-
+    """Build an instance from {"f0", "f1", "ell", "lambda"} and optional "grid_points"."""
+    check_keys(data, ("f0", "f1", "ell", "lambda", "grid_points"), "BBL instance")
     return BBLInstance(
-        f0=field_from_json(data["f0"]),
-        f1=field_from_json(data["f1"]),
+        f0=from_json(data["f0"], ScalarField),
+        f1=from_json(data["f1"], ScalarField),
         ell=as_exponent(data["ell"]),
         lam=float(data["lambda"]),
         grid_points=int(data.get("grid_points", 512)),

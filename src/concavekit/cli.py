@@ -73,7 +73,7 @@ def cmd_check(args) -> int:
         check_parabolic_p_concavity,
     )
     from .fields import field_from_json
-    from .geometry import body_from_json, spacetime_box_from_json
+    from .geometry import SpaceTimeBox, body_from_json, from_json
 
     t0 = time.monotonic()
     field = field_from_json(_load_json(args.field))
@@ -95,7 +95,7 @@ def cmd_check(args) -> int:
             raise ValueError("parabolic checks need --alpha")
         if not args.domain:
             raise ValueError("parabolic checks need --domain (spacetime box descriptor)")
-        domain = spacetime_box_from_json(_load_json(args.domain))
+        domain = from_json(_load_json(args.domain), SpaceTimeBox)
         cfg = CheckConfig(samples=args.samples, seed=args.seed, domain=domain)
         report = check_parabolic_p_concavity(
             field, args.alpha, as_exponent(args.p), cfg, mode=mode
@@ -129,14 +129,14 @@ def _parse_grid(spec: str):
 
 
 def cmd_convolve(args) -> int:
-    from .convolve import QuadratureSpec, convolve_at
-    from .fields import GaussWeierstrassKernel, IndicatorField, PoissonKernel
+    from .convolve import KERNELS, QuadratureSpec, convolve_at
+    from .fields import IndicatorField
     from .geometry import body_from_json
 
     t0 = time.monotonic()
     body = body_from_json(_load_json(args.body))
     psi = IndicatorField(body)
-    kernel = GaussWeierstrassKernel(body.dim) if args.kernel == "gw" else PoissonKernel(body.dim)
+    kernel = KERNELS[args.kernel](body.dim)
     quad = QuadratureSpec.default_for(body)
 
     x_axes = _parse_grid(args.xgrid)
@@ -188,10 +188,9 @@ def cmd_maximize(args) -> int:
     from .optimize import maximize, problem_from_json
 
     t0 = time.monotonic()
-    spec = _load_json(args.problem)
+    prob = problem_from_json(_load_json(args.problem))
     if args.seed is not None:
-        spec["seed"] = args.seed
-    prob = problem_from_json(spec)
+        prob.seed = args.seed
     result = maximize(prob)
     manifest = _manifest("maximize", {"problem": args.problem}, seed=prob.seed)
     _write_report(args.out, manifest, result.to_json(), t0)

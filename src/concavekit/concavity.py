@@ -20,7 +20,7 @@ and are excluded from strictness statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,16 +64,9 @@ class ConcavityReport:
         return self.verdict == PASS
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-            "samples": self.samples_used,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "notes": self.notes,
-        }
+        out = asdict(self)
+        out["samples"] = out.pop("samples_used")
+        return out
 
 
 @dataclass

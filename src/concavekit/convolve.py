@@ -29,7 +29,7 @@ from .fields import (
     ScalarField,
     SpaceTimeField,
 )
-from .geometry import Ball, Box, ConvexBody, Polytope, midpoint_grid
+from .geometry import Ball, Box, ConvexBody, Key, Polytope, midpoint_grid
 from .sampling import make_rng
 
 __all__ = [
@@ -44,7 +44,11 @@ __all__ = [
     "ConvolutionField",
     "HeatIndicatorField",
     "PoissonIndicatorField",
+    "KERNELS",
 ]
+
+# the kernels by their descriptor and command-line names
+KERNELS = {"gw": GaussWeierstrassKernel, "poisson": PoissonKernel}
 
 
 class ResolutionError(RuntimeError):
@@ -209,11 +213,14 @@ def oracle_P_interval(a: float, b: float, x, t):
     return float(out) if out.ndim == 0 else out
 
 
-class ConvolutionField(SpaceTimeField):
+class ConvolutionField(
+    SpaceTimeField, kind="convolution", keys={"kernel": Key(str, "gw"), "psi": ScalarField}
+):
     """Gamma(x, t) as a space-time field backed by quadrature.
 
     ``eval_with_error`` propagates the quadrature error estimate so the
     concavity checkers can keep strictness claims above the noise floor.
+    Its descriptor integrates with the default quadrature for psi's support.
     """
 
     def __init__(self, phi: SpaceTimeField, psi: ScalarField, quad: QuadratureSpec):
@@ -236,8 +243,19 @@ class ConvolutionField(SpaceTimeField):
     def _eval(self, P, T):
         return self._eval_err(P, T)[0]
 
+    @classmethod
+    def _build(cls, kernel, psi):
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown convolution kernel: {kernel!r}")
+        if psi.support is None:
+            raise ValueError("convolution data needs a compact support")
+        return cls(KERNELS[kernel](psi.dim), psi, QuadratureSpec.default_for(psi.support))
 
-class HeatIndicatorField(SpaceTimeField):
+    def to_json(self):
+        raise ValueError("a convolution field's quadrature has no descriptor")
+
+
+class HeatIndicatorField(SpaceTimeField, kind="oracle_w", keys={"a": float, "b": float}):
     """Exact heat convolution of an interval indicator (n = 1, closed form)."""
 
     def __init__(self, a: float, b: float):
@@ -253,7 +271,7 @@ class HeatIndicatorField(SpaceTimeField):
         return oracle_W_interval(self.a, self.b, P[:, 0], T)
 
 
-class PoissonIndicatorField(SpaceTimeField):
+class PoissonIndicatorField(SpaceTimeField, kind="oracle_p", keys={"a": float, "b": float}):
     """Exact Poisson convolution of an interval indicator (n = 1, closed form)."""
 
     def __init__(self, a: float, b: float):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import ConvexBody, body_from_json, body_to_json
+from .geometry import ConvexBody, Descriptor, Key, check_keys, float_array, from_json
+from .means import as_exponent
 
 __all__ = [
     "sigma_sphere",
@@ -49,8 +50,10 @@ __all__ = [
     "ShiftedDifferenceField",
     "shifted",
     "field_from_json",
-    "field_to_json",
 ]
+
+# the "n" key of a descriptor: the space dimension, 1 when left out
+_N = Key(int, 1, "dim")
 
 
 def sigma_sphere(n: int) -> float:
@@ -76,7 +79,7 @@ def _pts(x, dim: int):
     raise ValueError(f"points must have shape (m, {dim})")
 
 
-class ScalarField:
+class ScalarField(Descriptor):
     """Nonnegative function on R^n with optional compact support.
 
     ``support``, when set, is a convex body, and the field vanishes outside
@@ -115,7 +118,9 @@ class ScalarField:
         return (float(v[0]), float(e[0])) if single else (v, e)
 
 
-class IndicatorField(ScalarField):
+class IndicatorField(
+    ScalarField, kind="indicator", keys={"body": ConvexBody, "height": Key(float, 1.0)}
+):
     """height * indicator of a convex body."""
 
     def __init__(self, body: ConvexBody, height: float = 1.0):
@@ -132,7 +137,11 @@ class IndicatorField(ScalarField):
         return self.height * self.body.contains_many(P).astype(float)
 
 
-class TentField(ScalarField):
+class TentField(
+    ScalarField,
+    kind="tent",
+    keys={"body": ConvexBody, "height": Key(float, 1.0), "center": Key(float_array, None)},
+):
     """Affine cap height * max(0, 1 - gauge(x - center)) over a body.
 
     The gauge is the Minkowski functional of the body about its interior
@@ -161,7 +170,7 @@ class TentField(ScalarField):
         return self.height * np.maximum(0.0, 1.0 - self.body.gauge(P, self.center))
 
 
-class ConstantField(ScalarField):
+class ConstantField(ScalarField, kind="constant", keys={"value": float, "n": _N}):
     def __init__(self, value: float, dim: int = 1):
         if value < 0:
             raise ValueError("field values must be nonnegative")
@@ -172,7 +181,7 @@ class ConstantField(ScalarField):
         return np.full(len(P), self.value)
 
 
-class GaussWeierstrassSlice(ScalarField):
+class GaussWeierstrassSlice(ScalarField, kind="gaussian", keys={"n": _N, "t": float}):
     """Heat kernel (4 pi t)^{-n/2} exp(-|x|^2 / 4t) at a fixed time."""
 
     def __init__(self, n: int, t: float):
@@ -188,7 +197,7 @@ class GaussWeierstrassSlice(ScalarField):
         return (4 * math.pi * self.t) ** (-self.dim / 2) * np.exp(-r2 / (4 * self.t))
 
 
-class PoissonSlice(ScalarField):
+class PoissonSlice(ScalarField, kind="poisson_slice", keys={"n": _N, "t": float}):
     """Half-space Poisson kernel (2t/sigma_n)(|x|^2+t^2)^{-(n+1)/2} at fixed t."""
 
     def __init__(self, n: int, t: float):
@@ -230,7 +239,16 @@ class RadialProfile:
         return v
 
 
-class RadialField(ScalarField):
+def _profile_from_json(data) -> RadialProfile:
+    """The profile of a radial descriptor; only ``exp_decay`` exp(-rate r) has one."""
+    check_keys(data, ("kind", "rate"), "radial profile")
+    if data.get("kind") != "exp_decay":
+        raise ValueError(f"unknown radial profile kind: {data.get('kind')!r}")
+    rate = float(data.get("rate", 1.0))
+    return RadialProfile(lambda r: np.exp(-rate * r), strictly_decreasing=True)
+
+
+class RadialField(ScalarField, kind="radial", keys={"profile": _profile_from_json, "n": _N}):
     """k(|x|) for a radial profile k."""
 
     def __init__(self, profile: RadialProfile, n: int):
@@ -249,7 +267,7 @@ def radialize(profile: RadialProfile, n: int = 1) -> RadialField:
     return RadialField(profile, n)
 
 
-class ProductField(ScalarField):
+class ProductField(ScalarField, kind="product", keys={"factors": [ScalarField]}):
     def __init__(self, factors):
         factors = list(factors)
         if not factors:
@@ -269,7 +287,9 @@ class ProductField(ScalarField):
         return out
 
 
-class GridField(ScalarField):
+class GridField(
+    ScalarField, kind="custom_grid", keys=dict.fromkeys(("values", "lo", "hi"), float_array)
+):
     """Multilinear interpolation of tabulated values inside a box, 0 outside."""
 
     def __init__(self, values, lo, hi):
@@ -322,7 +342,7 @@ class PullbackField(ScalarField):
 # ---------------------------------------------------------------------------
 
 
-class SpaceTimeField:
+class SpaceTimeField(Descriptor):
     """Nonnegative function on R^n x (t_lo, t_hi)."""
 
     dim: int
@@ -335,23 +355,19 @@ class SpaceTimeField:
     def _eval(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_time(self, T):
-        if (T <= self.t_lo).any() or (T >= self.t_hi).any():
-            raise ValueError(
-                f"time outside the field's interval ({self.t_lo}, {self.t_hi})"
-            )
-
     def _eval_err(self, P: np.ndarray, T: np.ndarray):
         """Values and their evaluation-noise bounds (0 for closed forms)."""
         v = self._eval(P, T)
         return v, np.zeros_like(v)
 
     def _args(self, x, t):
-        """(points, times, whether a single point was given) of a call."""
+        """(points, read-only times, whether a single point was given) of a call."""
         P, single_x = _pts(x, self.dim)
-        T = np.broadcast_to(np.asarray(t, dtype=float), (len(P),)).copy()
-        self._check_time(T)
-        return P, T, single_x and np.isscalar(t)
+        T = np.asarray(t, dtype=float)
+        # written so that NaN times fail too
+        if (~((T > self.t_lo) & (T < self.t_hi))).any():
+            raise ValueError(f"time outside the field's interval ({self.t_lo}, {self.t_hi})")
+        return P, np.broadcast_to(T, (len(P),)), single_x and np.isscalar(t)
 
     def __call__(self, x, t):
         P, T, single = self._args(x, t)
@@ -368,7 +384,9 @@ class SpaceTimeField:
         return FixedTimeSlice(self, t)
 
 
-class FixedTimeSlice(ScalarField):
+class FixedTimeSlice(
+    ScalarField, kind="slice", keys={"field": Key(SpaceTimeField, attr="st_field"), "t": float}
+):
     """Space restriction phi(., t) of a space-time field."""
 
     def __init__(self, st_field: SpaceTimeField, t: float):
@@ -387,7 +405,7 @@ class FixedTimeSlice(ScalarField):
         return self.st_field._eval_err(P, np.full(len(P), self.t))
 
 
-class GaussWeierstrassKernel(SpaceTimeField):
+class GaussWeierstrassKernel(SpaceTimeField, kind="gauss_weierstrass", keys={"n": _N}):
     """Heat kernel on R^n x (0, inf)."""
 
     def __init__(self, n: int = 1):
@@ -401,7 +419,7 @@ class GaussWeierstrassKernel(SpaceTimeField):
         return (4 * math.pi * T) ** (-self.dim / 2) * np.exp(-r2 / (4 * T))
 
 
-class PoissonKernel(SpaceTimeField):
+class PoissonKernel(SpaceTimeField, kind="poisson_kernel", keys={"n": _N}):
     """Half-space Poisson kernel on R^n x (0, inf)."""
 
     def __init__(self, n: int = 1):
@@ -416,7 +434,10 @@ class PoissonKernel(SpaceTimeField):
         return self._two_over_sigma * T * (r2 + T * T) ** (-(self.dim + 1) / 2)
 
 
-class KappaExpKernel(SpaceTimeField):
+_ABC_N = {"a": float, "b": float, "c": float, "n": _N}
+
+
+class KappaExpKernel(SpaceTimeField, kind="kappa_exp", keys=_ABC_N):
     """Radial template t^a exp(-r^b / t^c) on R^n x (0, inf).
 
     Requires c/a < 0 and b >= 1; then the field is almost-strictly
@@ -441,7 +462,7 @@ class KappaExpKernel(SpaceTimeField):
         return T**self.a * np.exp(-(r**self.b) / T**self.c)
 
 
-class KappaPowerKernel(SpaceTimeField):
+class KappaPowerKernel(SpaceTimeField, kind="kappa_power", keys=_ABC_N):
     """Radial template t^a (r^b + t^b)^{c/b} on R^n x (0, inf).
 
     Requires a >= 0, b >= 1, c < 0 with (a, b) != (0, 1) and c < -a; then the
@@ -467,7 +488,11 @@ class KappaPowerKernel(SpaceTimeField):
         return T**self.a * (r**self.b + T**self.b) ** (self.c / self.b)
 
 
-class LiftedField(SpaceTimeField):
+class LiftedField(
+    SpaceTimeField,
+    kind="lifted",
+    keys={"field": Key(ScalarField, attr="f"), "p": as_exponent, "alpha": float},
+):
     """Time lift t^{alpha/p} f(x / t^alpha) of a spatial profile f.
 
     For p = 0 the lift is exp(t^alpha log f(x/t^alpha)) with the guarded
@@ -504,7 +529,9 @@ def lift(f: ScalarField, p: float, alpha: float) -> LiftedField:
     return LiftedField(f, p, alpha)
 
 
-class _LogTimeField(SpaceTimeField):
+class _LogTimeField(
+    SpaceTimeField, kind="conjugate0", keys={"field": Key(SpaceTimeField, attr="inner")}
+):
     """phi0(x, t) = inner(x, log t) on t > 1 (log-time picture)."""
 
     def __init__(self, inner: SpaceTimeField):
@@ -557,7 +584,9 @@ def conjugate0_inverse(phi0: SpaceTimeField) -> SpaceTimeField:
     return _ExpTimeField(phi0)
 
 
-class ShiftedDifferenceField(SpaceTimeField):
+class ShiftedDifferenceField(
+    SpaceTimeField, kind="shifted_product", keys={"field": Key(SpaceTimeField, attr="phi")}
+):
     """Joint field (x, y, t) -> phi(x - y, t) on R^{2n} x I.
 
     Inherits parabolic power concavity in the doubled space variable; the
@@ -596,101 +625,4 @@ def shifted(phi: SpaceTimeField) -> ShiftedDifferenceField:
 
 def field_from_json(data: dict):
     """Build a scalar or space-time field from its JSON descriptor."""
-    kind = data.get("kind")
-    n = int(data.get("n", 1))
-    if kind == "indicator":
-        return IndicatorField(body_from_json(data["body"]), float(data.get("height", 1.0)))
-    if kind == "tent":
-        return TentField(
-            body_from_json(data["body"]), float(data.get("height", 1.0)), data.get("center")
-        )
-    if kind == "constant":
-        return ConstantField(float(data["value"]), n)
-    if kind == "gaussian":
-        return GaussWeierstrassSlice(n, float(data["t"]))
-    if kind == "poisson_slice":
-        return PoissonSlice(n, float(data["t"]))
-    if kind == "radial":
-        prof = data["profile"]
-        if prof.get("kind") == "exp_decay":
-            rate = float(prof.get("rate", 1.0))
-            profile = RadialProfile(lambda r: np.exp(-rate * r), strictly_decreasing=True)
-        else:
-            raise ValueError(f"unknown radial profile kind: {prof.get('kind')!r}")
-        return RadialField(profile, n)
-    if kind == "product":
-        return ProductField([field_from_json(d) for d in data["factors"]])
-    if kind == "custom_grid":
-        return GridField(np.asarray(data["values"], dtype=float), data["lo"], data["hi"])
-    if kind == "slice":
-        return FixedTimeSlice(field_from_json(data["field"]), float(data["t"]))
-    if kind == "gauss_weierstrass":
-        return GaussWeierstrassKernel(n)
-    if kind == "poisson_kernel":
-        return PoissonKernel(n)
-    if kind == "kappa_exp":
-        return KappaExpKernel(float(data["a"]), float(data["b"]), float(data["c"]), n)
-    if kind == "kappa_power":
-        return KappaPowerKernel(float(data["a"]), float(data["b"]), float(data["c"]), n)
-    if kind == "lifted":
-        from .means import as_exponent
-
-        return LiftedField(
-            field_from_json(data["field"]), as_exponent(data["p"]), float(data["alpha"])
-        )
-    if kind == "conjugate0":
-        return conjugate0(field_from_json(data["field"]))
-    if kind == "shifted_product":
-        return ShiftedDifferenceField(field_from_json(data["field"]))
-    raise ValueError(f"unknown field kind: {kind!r}")
-
-
-def field_to_json(f) -> dict:
-    from .means import exponent_str
-
-    if isinstance(f, IndicatorField):
-        return {"kind": "indicator", "body": body_to_json(f.body), "height": f.height}
-    if isinstance(f, TentField):
-        return {
-            "kind": "tent",
-            "body": body_to_json(f.body),
-            "height": f.height,
-            "center": f.center.tolist(),
-        }
-    if isinstance(f, ConstantField):
-        return {"kind": "constant", "value": f.value, "n": f.dim}
-    if isinstance(f, GaussWeierstrassSlice):
-        return {"kind": "gaussian", "n": f.dim, "t": f.t}
-    if isinstance(f, PoissonSlice):
-        return {"kind": "poisson_slice", "n": f.dim, "t": f.t}
-    if isinstance(f, ProductField):
-        return {"kind": "product", "factors": [field_to_json(g) for g in f.factors]}
-    if isinstance(f, GridField):
-        return {
-            "kind": "custom_grid",
-            "values": f.values.tolist(),
-            "lo": f.lo.tolist(),
-            "hi": f.hi.tolist(),
-        }
-    if isinstance(f, FixedTimeSlice):
-        return {"kind": "slice", "field": field_to_json(f.st_field), "t": f.t}
-    if isinstance(f, GaussWeierstrassKernel):
-        return {"kind": "gauss_weierstrass", "n": f.dim}
-    if isinstance(f, PoissonKernel):
-        return {"kind": "poisson_kernel", "n": f.dim}
-    if isinstance(f, KappaExpKernel):
-        return {"kind": "kappa_exp", "a": f.a, "b": f.b, "c": f.c, "n": f.dim}
-    if isinstance(f, KappaPowerKernel):
-        return {"kind": "kappa_power", "a": f.a, "b": f.b, "c": f.c, "n": f.dim}
-    if isinstance(f, LiftedField):
-        return {
-            "kind": "lifted",
-            "field": field_to_json(f.f),
-            "p": exponent_str(f.p),
-            "alpha": f.alpha,
-        }
-    if isinstance(f, _LogTimeField):
-        return {"kind": "conjugate0", "field": field_to_json(f.inner)}
-    if isinstance(f, ShiftedDifferenceField):
-        return {"kind": "shifted_product", "field": field_to_json(f.phi)}
-    raise ValueError(f"cannot serialize {type(f).__name__}")
+    return from_json(data, (ScalarField, SpaceTimeField))

@@ -11,6 +11,9 @@ tests and gauges fold the facet products over the coordinates, so a point
 gets the same bits alone as in a batch.  Exact polytope arithmetic is only
 supported up to dimension 3.
 
+Bodies, space-time boxes and fields declare their JSON descriptors once, as
+:class:`Descriptor` subclasses; :func:`from_json` reads them all.
+
 Reductions over the coordinates of a point batch, of shape (m, n) with n
 small, go through ``rowwise`` and ``row_norm``.  numpy reduces such a short
 axis one row at a time, which costs tens of ns per point, while a fold over
@@ -25,8 +28,10 @@ numpy sums pairwise, and both helpers call numpy's reduction instead.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +63,12 @@ __all__ = [
     "chart_preimage",
     "RegionConvexityReport",
     "check_parabolic_convexity",
+    "Descriptor",
+    "Key",
+    "from_json",
+    "check_keys",
+    "float_array",
     "body_from_json",
-    "body_to_json",
-    "spacetime_box_from_json",
     "midpoint_axes",
     "midpoint_grid",
     "rowwise",
@@ -114,7 +122,120 @@ def row_norm(A) -> np.ndarray:
     return np.sqrt(rowwise(np.add, A * A))
 
 
-class ConvexBody:
+# ---------------------------------------------------------------------------
+# JSON descriptors
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_KINDS: dict[str, type] = {}
+
+# decodes a JSON number or nested list of numbers
+float_array = functools.partial(np.asarray, dtype=float)
+
+
+class Key(NamedTuple):
+    """A descriptor key: its decoder, its default (none: required), and the
+    attribute ``to_json`` writes (empty: the key's name).  A Descriptor class
+    as ``decode`` reads a nested descriptor of that type, ``[T]`` a list of them.
+    """
+
+    decode: object
+    default: object = _REQUIRED
+    attr: str = ""
+
+
+class Descriptor:
+    """A class with a JSON descriptor ``{"kind": kind, key: value, ...}``.
+
+    A subclass registers by declaring, as class arguments, its kind and its
+    keys in the order of its constructor's arguments, each with a decoder or
+    a :class:`Key`.  ``_build`` makes the instance from the decoded values.
+    """
+
+    kind: str | None = None
+    keys: dict = {}
+
+    def __init_subclass__(cls, kind: str | None = None, keys: dict | None = None, **kw):
+        super().__init_subclass__(**kw)
+        if kind is not None:
+            if kind in _KINDS:
+                raise TypeError(f"descriptor kind {kind!r} is already registered")
+            cls.kind, _KINDS[kind] = kind, cls
+            cls.keys = {k: v if isinstance(v, Key) else Key(v) for k, v in keys.items()}
+
+    @classmethod
+    def _build(cls, *args):
+        return cls(*args)
+
+    def to_json(self) -> dict:
+        """The descriptor that :func:`from_json` reads back to an equal object."""
+        if self.kind is None:
+            raise ValueError(f"{type(self).__name__} has no descriptor")
+        values = {k: _encode(getattr(self, spec.attr or k)) for k, spec in self.keys.items()}
+        return {"kind": self.kind, **values}
+
+
+def _encode(value):
+    if isinstance(value, Descriptor):
+        return value.to_json()
+    if isinstance(value, (list, np.ndarray)):
+        return [_encode(v) for v in value]
+    if isinstance(value, (int, float, str)):
+        return value
+    raise ValueError(f"cannot serialize {type(value).__name__}")
+
+
+def check_keys(data, keys, what: str) -> None:
+    """Refuse a descriptor that is not a JSON object or has a key outside ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} descriptor must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(map(repr, data.keys() - set(keys)))
+    if unknown:
+        raise ValueError(f"unknown key(s) in a {what} descriptor: {', '.join(unknown)}")
+
+
+def from_json(data, expected):
+    """Build an instance of ``expected`` (a class or a tuple) from its JSON descriptor.
+
+    ValueError refuses a non-object, an unknown kind or one of another type, an
+    unknown or missing key, and a value its key cannot decode.  ``"kind"`` may
+    be left out where ``expected`` is itself a registered class.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a descriptor must be a JSON object, not {type(data).__name__}")
+    kind = data.get("kind", getattr(expected, "kind", None))
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown descriptor kind: {kind!r}")
+    if not issubclass(cls, expected):
+        types = (expected,) if isinstance(expected, type) else expected
+        raise ValueError(f"{kind!r} is not a {' or '.join(t.__name__ for t in types)} descriptor")
+    check_keys(data, ("kind", *cls.keys), kind)
+    return cls._build(*(_read(data, key, spec, kind) for key, spec in cls.keys.items()))
+
+
+def _read(data: dict, key: str, spec: Key, kind: str):
+    if key not in data:
+        if spec.default is _REQUIRED:
+            raise ValueError(f"a {kind} descriptor needs the key {key!r}")
+        return spec.default
+    decode, value = spec.decode, data[key]
+    try:
+        if isinstance(decode, list):
+            return [from_json(v, decode[0]) for v in value]
+        if isinstance(decode, type) and issubclass(decode, Descriptor):
+            return from_json(value, decode)
+        return decode(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{kind}.{key}: {exc}") from exc
+
+
+def body_from_json(data: dict) -> ConvexBody:
+    """Build a body from {"kind": "interval"|"box"|"ball"|"polytope", ...}."""
+    return from_json(data, ConvexBody)
+
+
+class ConvexBody(Descriptor):
     """Bounded convex set with nonempty interior in R^n."""
 
     dim: int
@@ -185,7 +306,7 @@ class ConvexBody:
 
 
 @dataclass(frozen=True)
-class Box(ConvexBody):
+class Box(ConvexBody, kind="box", keys={"lo": float_array, "hi": float_array}):
     lo: np.ndarray
     hi: np.ndarray
 
@@ -238,7 +359,7 @@ class Box(ConvexBody):
         return rng.uniform(self.lo, self.hi, size=(k, self.dim))
 
 
-class Interval(Box):
+class Interval(Box, kind="interval", keys={"a": float, "b": float}):
     """The closed interval [a, b], as a 1-d box."""
 
     def __init__(self, a, b):
@@ -259,7 +380,7 @@ class Interval(Box):
 
 
 @dataclass(frozen=True)
-class Ball(ConvexBody):
+class Ball(ConvexBody, kind="ball", keys={"center": float_array, "radius": float}):
     center: np.ndarray
     radius: float
 
@@ -322,7 +443,7 @@ class Ball(ConvexBody):
         return self.center + r * v
 
 
-class Polytope(ConvexBody):
+class Polytope(ConvexBody, kind="polytope", keys={"vertices": float_array}):
     """Convex hull of a finite vertex set that affinely spans R^n.
 
     The facets are stored as rows (a_i, c_i) of a_i.x + c_i <= 0, with unit
@@ -727,7 +848,9 @@ def interior_witness_outside(omega: ConvexBody, s: float, mu: float, v) -> np.nd
 
 
 @dataclass(frozen=True)
-class SpaceTimeBox:
+class SpaceTimeBox(
+    Descriptor, kind="spacetime_box", keys={"body": ConvexBody, "t_lo": float, "t_hi": float}
+):
     """Sampleable box body x-range times [t_lo, t_hi] in R^n x (0, inf)."""
 
     body: ConvexBody
@@ -927,14 +1050,9 @@ class RegionConvexityReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "direct_verdict": self.direct_verdict,
-            "chart_verdict": self.chart_verdict,
-            "witness": self.witness,
-            "samples": self.samples_used,
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        out["samples"] = out.pop("samples_used")
+        return out
 
 
 def check_parabolic_convexity(
@@ -991,39 +1109,3 @@ def check_parabolic_convexity(
         samples_used=samples,
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON descriptors
-# ---------------------------------------------------------------------------
-
-
-def body_from_json(data: dict) -> ConvexBody:
-    """Build a body from {"kind": "interval"|"box"|"ball"|"polytope", ...}."""
-    kind = data.get("kind")
-    if kind == "interval":
-        return Interval(float(data["a"]), float(data["b"]))
-    if kind == "box":
-        return Box(np.asarray(data["lo"], dtype=float), np.asarray(data["hi"], dtype=float))
-    if kind == "ball":
-        return Ball(np.asarray(data["center"], dtype=float), float(data["radius"]))
-    if kind == "polytope":
-        return Polytope(np.asarray(data["vertices"], dtype=float))
-    raise ValueError(f"unknown body kind: {kind!r}")
-
-
-def spacetime_box_from_json(data: dict) -> SpaceTimeBox:
-    """Build a box from {"body": {...}, "t_lo": ..., "t_hi": ...}; "kind" is optional."""
-    return SpaceTimeBox(body_from_json(data["body"]), float(data["t_lo"]), float(data["t_hi"]))
-
-
-def body_to_json(body: ConvexBody) -> dict:
-    if isinstance(body, Interval):
-        return {"kind": "interval", "a": body.a, "b": body.b}
-    if isinstance(body, Box):
-        return {"kind": "box", "lo": body.lo.tolist(), "hi": body.hi.tolist()}
-    if isinstance(body, Ball):
-        return {"kind": "ball", "center": body.center.tolist(), "radius": body.radius}
-    if isinstance(body, Polytope):
-        return {"kind": "polytope", "vertices": body.vertices.tolist()}
-    raise ValueError(f"cannot serialize {type(body).__name__}")

@@ -21,14 +21,14 @@ since a pure objective's values do not depend on the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .convolve import PoissonIndicatorField
-from .fields import ScalarField, SpaceTimeField
+from .fields import ScalarField, SpaceTimeField, field_from_json
 from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox
-from .geometry import body_from_json, spacetime_box_from_json
+from .geometry import check_keys, from_json
 
 __all__ = [
     "MaxProblem",
@@ -82,14 +82,7 @@ class MaxResult:
     unique: bool
 
     def to_json(self) -> dict:
-        return {
-            "argmax": self.argmax.tolist(),
-            "value": self.value,
-            "starts_converged": self.starts_converged,
-            "max_pairwise_spread": self.max_pairwise_spread,
-            "evaluations": self.evaluations,
-            "unique": self.unique,
-        }
+        return {**asdict(self), "argmax": self.argmax.tolist()}
 
 
 class _Feasible:
@@ -362,35 +355,19 @@ def regiomontanus(a: float, b: float, constraint, **kw) -> MaxResult:
 def problem_from_json(data: dict) -> MaxProblem:
     """Build a problem from JSON: objective descriptor + feasible descriptor.
 
-    Objective kinds: ``oracle_w`` / ``oracle_p`` (closed-form interval
-    convolutions over (x, t)), ``spacetime_field`` (any space-time field
-    descriptor), ``scalar_field``, and ``convolution`` (quadrature-backed
-    Gamma with kernel "gw"/"poisson" and data field "psi").
+    The objective is any field descriptor (``oracle_w``, ``oracle_p`` and
+    ``convolution`` included); wrapped as ``{"kind": "spacetime_field" |
+    "scalar_field", "field": ...}`` it must also be a field of that type.
     """
-    from .convolve import ConvolutionField, HeatIndicatorField, QuadratureSpec
-    from .fields import GaussWeierstrassKernel, PoissonKernel, field_from_json
-
+    check_keys(data, ("objective", "feasible", "tolerance", "multistart", "seed"), "problem")
     spec = data["objective"]
-    kind = spec.get("kind")
-    if kind in ("oracle_w", "oracle_p"):
-        oracle = HeatIndicatorField if kind == "oracle_w" else PoissonIndicatorField
-        objective = oracle(float(spec["a"]), float(spec["b"]))
-    elif kind in ("spacetime_field", "scalar_field"):
-        objective = field_from_json(spec["field"])
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind in ("spacetime_field", "scalar_field"):
+        check_keys(spec, ("kind", "field"), kind)
         expected = SpaceTimeField if kind == "spacetime_field" else ScalarField
-        if not isinstance(objective, expected):
-            raise ValueError(f"{kind} needs a {expected.__name__} descriptor")
-    elif kind == "convolution":
-        psi = field_from_json(spec["psi"])
-        kernel = (
-            GaussWeierstrassKernel(psi.dim)
-            if spec.get("kernel", "gw") == "gw"
-            else PoissonKernel(psi.dim)
-        )
-        quad = QuadratureSpec.default_for(psi.support)
-        objective = ConvolutionField(kernel, psi, quad)
+        objective = from_json(spec["field"], expected)
     else:
-        raise ValueError(f"unknown objective kind: {kind!r}")
+        objective = field_from_json(spec)
 
     feasible = feasible_from_json(data["feasible"])
     opts = {k: data[k] for k in ("tolerance", "multistart", "seed") if k in data}
@@ -399,12 +376,11 @@ def problem_from_json(data: dict) -> MaxProblem:
 
 def feasible_from_json(fspec: dict):
     """Feasible-set descriptor: a body, a space-time box, or a degenerate box."""
-    if fspec.get("kind") == "spacetime_box":
-        return spacetime_box_from_json(fspec)
-    if fspec.get("kind") == "box":
+    if isinstance(fspec, dict) and fspec.get("kind") == "box":
+        check_keys(fspec, ("kind", *Box.keys), "box")
         lo = np.atleast_1d(np.asarray(fspec["lo"], dtype=float))
         hi = np.atleast_1d(np.asarray(fspec["hi"], dtype=float))
         if (lo < hi).all():
             return Box(lo, hi)
         return (lo, hi)  # segment-like constraint with zero-width axes
-    return body_from_json(fspec)
+    return from_json(fspec, (ConvexBody, SpaceTimeBox))

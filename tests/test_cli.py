@@ -207,6 +207,67 @@ class TestMaximize:
         assert main(["regiomontanus", "--a", "2", "--b", "2", "--constraint", cons]) == 2
 
 
+class TestDescriptors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "concavity", "--p", "1", "--field", "{bad}"],
+            ["check", "concavity", "--p", "1", "--field", "{tent}", "--domain", "{bad}"],
+            ["check", "parabolic", "--p", "-1", "--alpha", "0.5", "--field", "{gw}"]
+            + ["--domain", "{bad}"],
+            ["convolve", "--kernel", "gw", "--body", "{bad}", "--xgrid=-1:1:3", "--tgrid", "1:1:1"],
+            ["bbl", "--instance", "{bad}"],
+            ["maximize", "--problem", "{bad}"],
+            ["maximize", "--problem", "{bad}", "--seed", "3"],
+            ["regiomontanus", "--a", "1", "--b", "4", "--constraint", "{bad}"],
+        ],
+    )
+    def test_non_object_descriptor_is_input_error(self, argv, tmp_path, gw_field):
+        tent = {"kind": "tent", "body": {"kind": "interval", "a": 0, "b": 1}}
+        files = {
+            "bad": write(tmp_path / "bad.json", [1, 2]),
+            "gw": gw_field,
+            "tent": write(tmp_path / "tent.json", tent),
+        }
+        assert main([a.format(**files) for a in argv]) == 2
+
+    def test_misspelt_field_key_is_input_error(self, tmp_path, capsys):
+        body = {"kind": "box", "lo": [0, 0], "hi": [2, 2]}
+        tent = write(tmp_path / "tent.json", {"kind": "tent", "body": body, "centre": [0.5, 0.5]})
+        assert main(["check", "concavity", "--p", "1", "--field", tent]) == 2
+        assert "'centre'" in capsys.readouterr().err
+
+    def test_misspelt_bbl_key_is_input_error(self, tmp_path, capsys):
+        inst = {
+            "f0": {"kind": "indicator", "body": {"kind": "interval", "a": 0, "b": 1}},
+            "f1": {"kind": "indicator", "body": {"kind": "interval", "a": 2, "b": 4}},
+            "ell": 0,
+            "lambda": 0.5,
+            "grid": 64,
+        }
+        assert main(["bbl", "--instance", write(tmp_path / "inst.json", inst)]) == 2
+        assert "'grid'" in capsys.readouterr().err
+
+    def test_misspelt_maximize_key_is_input_error(self, tmp_path, capsys):
+        prob = {
+            "objective": {"kind": "oracle_p", "a": 1, "b": 4},
+            "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]},
+            "tolerence": 1e-6,
+        }
+        assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 2
+        assert "'tolerence'" in capsys.readouterr().err
+
+    def test_field_objective_needs_no_wrapper(self, tmp_path, capsys):
+        prob = {
+            "objective": {"kind": "gauss_weierstrass", "n": 1},
+            "feasible": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 2]},
+            "multistart": 3,
+        }
+        assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["argmax"] == pytest.approx([0.0, 0.5], abs=1e-6)
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -15,7 +15,6 @@ from concavekit.geometry import (
     SpaceTimeBox,
     UnionRegion,
     body_from_json,
-    body_to_json,
     check_parabolic_convexity,
     coupling_core,
     interior_witness_outside,
@@ -443,7 +442,7 @@ class TestHalfSpaceAndJson:
         ]
         rng = make_rng(13)
         for body in bodies:
-            clone = body_from_json(body_to_json(body))
+            clone = body_from_json(body.to_json())
             pts = rng.uniform(-3, 3, size=(100, body.dim))
             assert (clone.contains_many(pts) == body.contains_many(pts)).all()
 
@@ -742,13 +741,13 @@ class TestIntervalAlgebra:
     def test_stays_interval(self, result, a, b):
         assert type(result) is Interval
         assert repr(result) == f"Interval(a={a!r}, b={b!r})"
-        assert body_to_json(result) == {"kind": "interval", "a": a, "b": b}
-        clone = body_from_json(body_to_json(result))
+        assert result.to_json() == {"kind": "interval", "a": a, "b": b}
+        clone = body_from_json(result.to_json())
         assert type(clone) is Interval and repr(clone) == repr(result)
 
     def test_one_dimensional_boxes_stay_boxes(self):
         r = minkowski_combine(1.0, Box([0.0], [1.0]), 2.0, Box([1.0], [2.0]))
-        assert type(r) is Box and body_to_json(r) == {"kind": "box", "lo": [2.0], "hi": [5.0]}
+        assert type(r) is Box and r.to_json() == {"kind": "box", "lo": [2.0], "hi": [5.0]}
 
     def test_with_polytope(self):
         r = minkowski_combine(1.0, Interval(0, 1), 1.0, Polytope([[-1.0], [0.5]]))
