@@ -11,8 +11,13 @@ from concavekit.convolve import (
     oracle_P_interval,
     oracle_W_interval,
 )
-from concavekit.fields import GaussWeierstrassKernel, IndicatorField
-from concavekit.geometry import Ball, Box, Interval, SpaceTimeBox
+from concavekit.fields import (
+    GaussWeierstrassKernel,
+    GaussWeierstrassSlice,
+    IndicatorField,
+    TentField,
+)
+from concavekit.geometry import Ball, Box, HatRegion, Interval, Polytope, SpaceTimeBox
 from concavekit.optimize import MaxProblem, maximize, problem_from_json, regiomontanus
 
 
@@ -169,6 +174,143 @@ class TestLockstep:
         assert sizes == sorted(sizes, reverse=True)
         if case == "ball":
             assert len(set(sizes)) > 2  # starts finished in different rounds
+
+
+class TestPinnedMaxResults:
+    """Every objective dispatch and feasible kind keeps its result bits.
+
+    argmax, value and spread are pinned by ``float.hex``; the counts and the
+    certificate exactly.  Two pins record known stalls of coordinate ascent
+    (a ball and a polytope split their starts): they pin the bits, not
+    correctness.
+    """
+
+    PSI = IndicatorField(Interval(-0.5, 0.8))
+    TRIANGLE = Polytope([[0.0, 0.0], [2.0, 0.3], [0.4, 1.8]])
+    # name: (objective, feasible set, problem options, pinned result)
+    CASES = {
+        "oracle_p_segment": (
+            lambda: PoissonIndicatorField(1.0, 4.0),
+            lambda: (np.array([0.0, 0.5]), np.array([0.0, 5.0])),
+            {},
+            (["0x0.0p+0", "0x1.000000020dc7fp+1"], "0x1.a37f5c4c419f1p-3", "0x0.0p+0", 834, 10, True),
+        ),
+        "oracle_p_ball": (
+            lambda: PoissonIndicatorField(1.0, 4.0),
+            lambda: Ball([1.0, 2.0], 1.0),
+            {},
+            (
+                ["0x1.b427ff6cdebb8p+0", "0x1.4a1f257a03bb8p+0"],
+                "0x1.fc0b7b00c9063p-2",
+                "0x1.80cf8bdccfb1dp-1",
+                1640,
+                10,
+                False,
+            ),
+        ),
+        "oracle_w_spacetime_box": (
+            lambda: HeatIndicatorField(-1.0, 1.0),
+            lambda: SpaceTimeBox(Interval(-2.0, 2.0), 0.5, 3.0),
+            {"seed": 3},
+            (
+                ["0x1.cad66916acc70p-29", "0x1.00000016278b4p-1"],
+                "0x1.5d897a1961bdcp-1",
+                "0x1.1b93c3b1578a4p-28",
+                1575,
+                10,
+                True,
+            ),
+        ),
+        "heat_kernel_parabolic": (
+            lambda: GaussWeierstrassKernel(1),
+            lambda: HatRegion(Interval(-1.0, 0.5), 0.5),
+            {"tolerance": 1e-7},
+            (
+                ["0x1.77e7164a00000p-29", "0x1.000000ee87092p-1"],
+                "0x1.9884527ef224bp-2",
+                "0x1.d02a16a9ed271p-27",
+                1474,
+                10,
+                True,
+            ),
+        ),
+        "scalar_box": (
+            lambda: GaussWeierstrassSlice(2, 1.0),
+            lambda: Box([0.3, -1.0], [2.0, 1.5]),
+            {},
+            (
+                ["0x1.33333363f394cp-2", "0x1.47646b3922032p-29"],
+                "0x1.3eb285cce6f3bp-4",
+                "0x1.2000000000000p-53",
+                1650,
+                10,
+                True,
+            ),
+        ),
+        "scalar_polytope": (
+            lambda: TentField(TestPinnedMaxResults.TRIANGLE),
+            lambda: TestPinnedMaxResults.TRIANGLE,
+            {"multistart": 6},
+            (
+                ["0x1.5820e86bb1c04p-1", "0x1.2d1ccb5f4fdfbp-1"],
+                "0x1.ae2922863ee61p-1",
+                "0x1.bf441bf22ea46p-2",
+                1010,
+                6,
+                False,
+            ),
+        ),
+        "value_interval": (
+            lambda: (lambda z: oracle_W_interval(-1, 1, z[0], 1.0)),
+            lambda: Interval(-3.0, 2.0),
+            {"seed": 5},
+            (["0x1.b1447347f8f20p-32"], "0x1.0a7ef5c18edd2p-1", "0x1.0000000000000p-53", 810, 10, True),
+        ),
+        "pair_box": (
+            lambda: (lambda z: (oracle_P_interval(-1, 1, z[0], z[1]), 1e-12)),
+            lambda: Box([-2.0, 0.5], [1.5, 3.0]),
+            {"multistart": 4},
+            (
+                ["0x1.1faab67db4d40p-25", "0x1.00000016278b4p-1"],
+                "0x1.68dfd707c7e95p-1",
+                "0x1.fffff00000000p-53",
+                820,
+                4,
+                True,
+            ),
+        ),
+        "noisy_convolution": (
+            lambda: ConvolutionField(
+                GaussWeierstrassKernel(1),
+                TestPinnedMaxResults.PSI,
+                QuadratureSpec.default_for(TestPinnedMaxResults.PSI.support),
+            ),
+            lambda: SpaceTimeBox(Interval(-2.0, 2.0), 0.8, 2.3),
+            {"multistart": 3, "tolerance": 1e-6},
+            (
+                ["0x1.336beb30af75cp-3", "0x1.999d9041de393p-1"],
+                "0x1.92130313ea338p-2",
+                "0x1.0000000000000p-54",
+                273,
+                3,
+                True,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits(self, case):
+        objective, feasible, kw, pinned = self.CASES[case]
+        r = maximize(MaxProblem(objective=objective(), feasible=feasible(), **kw))
+        got = (
+            [float(c).hex() for c in r.argmax],
+            float(r.value).hex(),
+            float(r.max_pairwise_spread).hex(),
+            r.evaluations,
+            r.starts_converged,
+            r.unique,
+        )
+        assert got == pinned
 
 
 class TestFlatTop:
