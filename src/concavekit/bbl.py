@@ -53,8 +53,8 @@ import numpy as np
 
 from .convolve import ResolutionError
 from .fields import ScalarField
-from .geometry import NotRepresentableError, check_keys, from_json, midpoint_axes
-from .geometry import midpoint_grid, minkowski_combine
+from .geometry import Key, NotRepresentableError, check_keys, integer, midpoint_axes
+from .geometry import midpoint_grid, minkowski_combine, number, read_key
 from .means import _P_GEOMETRIC, as_exponent, bbl_exponent, mean_p
 
 __all__ = ["BBLInstance", "BBLReport", "sup_convolution", "verify_bbl", "instance_from_json"]
@@ -339,11 +339,12 @@ def verify_bbl(inst: BBLInstance) -> BBLReport:
 
 def instance_from_json(data: dict) -> BBLInstance:
     """Build an instance from {"f0", "f1", "ell", "lambda"} and optional "grid_points"."""
-    check_keys(data, ("f0", "f1", "ell", "lambda", "grid_points"), "BBL instance")
+    what = "BBL instance"
+    check_keys(data, ("f0", "f1", "ell", "lambda", "grid_points"), what)
     return BBLInstance(
-        f0=from_json(data["f0"], ScalarField),
-        f1=from_json(data["f1"], ScalarField),
-        ell=as_exponent(data["ell"]),
-        lam=float(data["lambda"]),
-        grid_points=int(data.get("grid_points", 512)),
+        f0=read_key(data, "f0", ScalarField, what),
+        f1=read_key(data, "f1", ScalarField, what),
+        ell=read_key(data, "ell", as_exponent, what),
+        lam=read_key(data, "lambda", number, what),
+        grid_points=read_key(data, "grid_points", Key(integer, 512), what),
     )

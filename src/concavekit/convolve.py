@@ -180,21 +180,33 @@ def poisson_integral(g: ScalarField, x, t: float, quad: QuadratureSpec) -> Convo
     return convolve_at(PoissonKernel(g.dim), g, x, t, quad)
 
 
-def oracle_W_interval(a: float, b: float, x, t):
-    """Closed form of the heat convolution of the indicator of [a, b] (n = 1).
+def _heat_interval(a: float, b: float, x, t):
+    s = 2.0 * np.sqrt(t)
+    return 0.5 * (erf((b - x) / s) - erf((a - x) / s))
 
-    Equals (erf((b-x)/2 sqrt(t)) - erf((a-x)/2 sqrt(t))) / 2; tends to the
-    indicator as t -> 0+ and to 0 far from the interval.
-    """
+
+def _poisson_interval(a: float, b: float, x, t):
+    return (np.arctan((b - x) / t) - np.arctan((a - x) / t)) / math.pi
+
+
+def _oracle(kernel, a: float, b: float, x, t):
     if not a < b:
         raise ValueError("requires a < b")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if (t <= 0).any():
         raise ValueError("time must be positive")
-    s = 2.0 * np.sqrt(t)
-    out = 0.5 * (erf((b - x) / s) - erf((a - x) / s))
+    out = kernel(a, b, x, t)
     return float(out) if out.ndim == 0 else out
+
+
+def oracle_W_interval(a: float, b: float, x, t):
+    """Closed form of the heat convolution of the indicator of [a, b] (n = 1).
+
+    Equals (erf((b-x)/2 sqrt(t)) - erf((a-x)/2 sqrt(t))) / 2; tends to the
+    indicator as t -> 0+ and to 0 far from the interval.
+    """
+    return _oracle(_heat_interval, a, b, x, t)
 
 
 def oracle_P_interval(a: float, b: float, x, t):
@@ -203,14 +215,7 @@ def oracle_P_interval(a: float, b: float, x, t):
     Equals (arctan((b-x)/t) - arctan((a-x)/t)) / pi: the viewing angle of
     the segment [a, b] from the point (x, t), normalized by pi.
     """
-    if not a < b:
-        raise ValueError("requires a < b")
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if (t <= 0).any():
-        raise ValueError("time must be positive")
-    out = (np.arctan((b - x) / t) - np.arctan((a - x) / t)) / math.pi
-    return float(out) if out.ndim == 0 else out
+    return _oracle(_poisson_interval, a, b, x, t)
 
 
 class ConvolutionField(
@@ -268,7 +273,8 @@ class HeatIndicatorField(SpaceTimeField, kind="oracle_w", keys={"a": float, "b":
         self.claimed_mode = "strict"
 
     def _eval(self, P, T):
-        return oracle_W_interval(self.a, self.b, P[:, 0], T)
+        # the times were checked by _args; a < b by the constructor
+        return _heat_interval(self.a, self.b, P[:, 0], T)
 
 
 class PoissonIndicatorField(SpaceTimeField, kind="oracle_p", keys={"a": float, "b": float}):
@@ -284,4 +290,5 @@ class PoissonIndicatorField(SpaceTimeField, kind="oracle_p", keys={"a": float, "
         self.claimed_mode = "strict"
 
     def _eval(self, P, T):
-        return oracle_P_interval(self.a, self.b, P[:, 0], T)
+        # the times were checked by _args; a < b by the constructor
+        return _poisson_interval(self.a, self.b, P[:, 0], T)

@@ -104,7 +104,7 @@ class ScalarField(Descriptor):
     def _eval_err(self, P: np.ndarray):
         """Values and their evaluation-noise bounds (0 for closed forms)."""
         v = self._eval(P)
-        return v, np.zeros_like(v)
+        return v, np.zeros(v.shape)
 
     def __call__(self, x):
         P, single = _pts(x, self.dim)
@@ -342,6 +342,10 @@ class PullbackField(ScalarField):
 # ---------------------------------------------------------------------------
 
 
+# batches up to this size are checked in Python floats
+_FEW = 32
+
+
 class SpaceTimeField(Descriptor):
     """Nonnegative function on R^n x (t_lo, t_hi)."""
 
@@ -358,16 +362,28 @@ class SpaceTimeField(Descriptor):
     def _eval_err(self, P: np.ndarray, T: np.ndarray):
         """Values and their evaluation-noise bounds (0 for closed forms)."""
         v = self._eval(P, T)
-        return v, np.zeros_like(v)
+        return v, np.zeros(v.shape)
 
     def _args(self, x, t):
-        """(points, read-only times, whether a single point was given) of a call."""
+        """(points, times not to be written, whether a single point was given) of a call.
+
+        Every time lies in the open interval (t_lo, t_hi) afterwards, so
+        ``_eval`` and ``_eval_err`` need not check it again.
+        """
         P, single_x = _pts(x, self.dim)
         T = np.asarray(t, dtype=float)
-        # written so that NaN times fail too
-        if (~((T > self.t_lo) & (T < self.t_hi))).any():
+        lo, hi = self.t_lo, self.t_hi
+        # written so that NaN times fail too; a few times are compared in
+        # Python floats, which skips numpy's per-call set-up
+        if T.size <= _FEW:
+            ok = all(lo < s < hi for s in T.reshape(-1).tolist())
+        else:
+            ok = bool(((T > lo) & (T < hi)).all())
+        if not ok:
             raise ValueError(f"time outside the field's interval ({self.t_lo}, {self.t_hi})")
-        return P, np.broadcast_to(T, (len(P),)), single_x and np.isscalar(t)
+        if T.shape != (len(P),):
+            T = np.broadcast_to(T, (len(P),))
+        return P, T, single_x and np.isscalar(t)
 
     def __call__(self, x, t):
         P, T, single = self._args(x, t)

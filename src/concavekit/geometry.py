@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -67,7 +68,10 @@ __all__ = [
     "Key",
     "from_json",
     "check_keys",
+    "read_key",
     "float_array",
+    "number",
+    "integer",
     "body_from_json",
     "midpoint_axes",
     "midpoint_grid",
@@ -131,6 +135,20 @@ _KINDS: dict[str, type] = {}
 
 # decodes a JSON number or nested list of numbers
 float_array = functools.partial(np.asarray, dtype=float)
+
+
+def number(value) -> float:
+    """Decode a JSON number; a string, a boolean or a container is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, not {value!r}")
+    return float(value)
+
+
+def integer(value) -> int:
+    """Decode a JSON integer; a fraction, a string or a boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, not {value!r}")
+    return int(value)
 
 
 class Key(NamedTuple):
@@ -211,10 +229,16 @@ def from_json(data, expected):
         types = (expected,) if isinstance(expected, type) else expected
         raise ValueError(f"{kind!r} is not a {' or '.join(t.__name__ for t in types)} descriptor")
     check_keys(data, ("kind", *cls.keys), kind)
-    return cls._build(*(_read(data, key, spec, kind) for key, spec in cls.keys.items()))
+    return cls._build(*(read_key(data, key, spec, kind) for key, spec in cls.keys.items()))
 
 
-def _read(data: dict, key: str, spec: Key, kind: str):
+def read_key(data: dict, key: str, spec, kind: str):
+    """Decode ``data[key]`` by ``spec``, a :class:`Key` or a bare decoder.
+
+    A missing required key and a value the decoder refuses raise ValueError.
+    """
+    if not isinstance(spec, Key):
+        spec = Key(spec)
     if key not in data:
         if spec.default is _REQUIRED:
             raise ValueError(f"a {kind} descriptor needs the key {key!r}")

@@ -48,7 +48,12 @@ def as_exponent(value) -> float:
         if s in ("-inf", "-infinity"):
             return NEG_INF
         value = float(s)
-    p = float(value)
+    if isinstance(value, bool):
+        raise ValueError(f"an exponent is a number or 'inf'/'-inf', not {value!r}")
+    try:
+        p = float(value)
+    except TypeError:
+        raise ValueError(f"an exponent is a number or 'inf'/'-inf', not {value!r}") from None
     if math.isnan(p):
         raise ValueError("exponent must not be NaN")
     return p

@@ -12,10 +12,14 @@ searches stop refining once bracket differences drop below five times the
 local error estimate, so quadrature-backed objectives are never chased
 inside their own noise.
 
-The starts advance in lockstep, one point per unfinished start per round: a
-field objective is evaluated once per round on the whole batch, any other
-callable once per point.  Each start follows the trajectory it has alone,
-since a pure objective's values do not depend on the batch.
+The starts advance in lockstep, one probe per unfinished start per round.
+Their current points are the rows of one (starts, dim) array; each start's
+search moves its own row in place and asks for a probe as an ``(axis, s)``
+move, the point ``z + s e_axis``.  A round gathers the live rows once, adds
+each move, and evaluates the batch: one ``eval_with_error`` call for a
+field objective, one call per point for any other callable.  Each start
+follows the trajectory it has alone, since a pure objective's values do not
+depend on the batch.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .convolve import PoissonIndicatorField
 from .fields import ScalarField, SpaceTimeField, field_from_json
 from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox
-from .geometry import check_keys, from_json
+from .geometry import check_keys, from_json, integer, number, read_key
 
 __all__ = [
     "MaxProblem",
@@ -66,7 +70,7 @@ class MaxProblem:
     max_cycles: int = 60
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.multistart < 1:
             raise ValueError("needs at least one start")
@@ -101,9 +105,10 @@ class _Feasible:
                 raise ValueError("degenerate box needs lo <= hi with some extent")
             self.lo, self.hi = lo, hi
             tol = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-            self.member = lambda z: bool(
-                ((z >= lo - tol) & (z <= hi + tol)).all()
-            )
+            bounds = list(zip((lo - tol).tolist(), (hi + tol).tolist()))
+            # in Python floats, as Box.contains: numpy's set-up costs more
+            # than the comparisons of a few coordinates
+            self.member = lambda z: all(a <= c <= b for c, (a, b) in zip(z.tolist(), bounds))
         elif isinstance(feasible, ConvexBody):
             lo, hi = feasible.bounding_box()
             self.lo = np.asarray(lo, dtype=float)
@@ -184,24 +189,24 @@ class _Feasible:
         return out[0], out[1]
 
 
-def _golden_max(point, a: float, b: float, tol: float):
+def _golden_max(axis: int, a: float, b: float, tol: float):
     """Golden-section maximization on [a, b]; returns (s*, value, error).
 
-    A generator: yields ``point(s)`` per probe s and is sent its (value,
-    error).  Probes that tie (exactly, or within five times their error
-    estimates) pinch the bracket from both ends: for a unimodal restriction
-    the maximum lies between two equal-valued points.  Persistent
-    noise-level ties end the search, so quadrature-backed objectives are
-    not resolved inside their own noise floor.
+    A generator: yields the move ``(axis, s)`` per probe s and is sent its
+    (value, error).  Probes that tie (exactly, or within five times their
+    error estimates) pinch the bracket from both ends: for a unimodal
+    restriction the maximum lies between two equal-valued points.
+    Persistent noise-level ties end the search, so quadrature-backed
+    objectives are not resolved inside their own noise floor.
     """
     if b - a <= tol:
         s = 0.5 * (a + b)
-        v, e = yield point(s)
+        v, e = yield axis, s
         return s, v, e
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, ec = yield point(c)
-    fd, ed = yield point(d)
+    fc, ec = yield axis, c
+    fd, ed = yield axis, d
     steps = int(math.ceil(math.log(tol / (b - a)) / math.log(_INVPHI)))
     stalls = 0
     for _ in range(max(2 * steps, 2)):
@@ -215,8 +220,8 @@ def _golden_max(point, a: float, b: float, tol: float):
                 break
             c = b - _INVPHI * (b - a)
             d = a + _INVPHI * (b - a)
-            fc, ec = yield point(c)
-            fd, ed = yield point(d)
+            fc, ec = yield axis, c
+            fd, ed = yield axis, d
             if noise > 0:
                 # refining stopped paying: the bracket is a noise plateau
                 stalls = stalls + 1 if max(fc, fd) - prev_best <= noise else 0
@@ -225,20 +230,24 @@ def _golden_max(point, a: float, b: float, tol: float):
         elif fc > fd:
             b, d, fd, ed = d, c, fc, ec
             c = b - _INVPHI * (b - a)
-            fc, ec = yield point(c)
+            fc, ec = yield axis, c
         else:
             a, c, fc, ec = c, d, fd, ed
             d = a + _INVPHI * (b - a)
-            fd, ed = yield point(d)
+            fd, ed = yield axis, d
     if fc > fd:
         return c, fc, ec
     return d, fd, ed
 
 
-def _ascend(feas: _Feasible, z0: np.ndarray, prob: MaxProblem):
-    """Cyclic coordinate ascent with golden-section line searches (a generator)."""
-    z = z0.copy()
-    val, err = yield z
+def _ascend(feas: _Feasible, z: np.ndarray, prob: MaxProblem):
+    """Cyclic coordinate ascent with golden-section line searches (a generator).
+
+    ``z`` is the start's row of the shared point array; the ascent moves it
+    in place.  The first probe is the start itself: adding -0.0 leaves
+    every coordinate's bits as they are, -0.0 included.
+    """
+    val, err = yield 0, -0.0
     converged = False
     for _ in range(prob.max_cycles):
         move = 0.0
@@ -246,13 +255,7 @@ def _ascend(feas: _Feasible, z0: np.ndarray, prob: MaxProblem):
             s_lo, s_hi = feas.segment(z, axis)
             if s_hi - s_lo <= 0:
                 continue
-
-            def point(s, axis=axis):
-                w = z.copy()
-                w[axis] += s
-                return w
-
-            s, v, e = yield from _golden_max(point, s_lo, s_hi, prob.tolerance)
+            s, v, e = yield from _golden_max(axis, s_lo, s_hi, prob.tolerance)
             if v >= val:  # accept only ascent steps
                 z[axis] += s
                 if v > val:  # an equal-valued step on a flat top is no movement
@@ -264,29 +267,56 @@ def _ascend(feas: _Feasible, z0: np.ndarray, prob: MaxProblem):
     return z, val, err, converged
 
 
+def _floats(v, e):
+    return np.asarray(v, dtype=float).tolist(), np.asarray(e, dtype=float).tolist()
+
+
 def _evaluator(objective):
-    """Batch evaluation: an (m, dim) array of points -> m (value, error) pairs."""
+    """Batch evaluation: an (m, dim) array of points -> (m values, m errors) as lists."""
     if isinstance(objective, SpaceTimeField):
-        return lambda Z: zip(*objective.eval_with_error(Z[:, :-1], Z[:, -1]))
+        return lambda Z: _floats(*objective.eval_with_error(Z[:, :-1], Z[:, -1]))
     if isinstance(objective, ScalarField):
-        return lambda Z: zip(*objective.eval_with_error(Z))
-    return lambda Z: [out if isinstance(out, tuple) else (out, 0.0) for out in map(objective, Z)]
+        return lambda Z: _floats(*objective.eval_with_error(Z))
+
+    def pointwise(Z):
+        values, errors = [], []
+        for z in Z:
+            out = objective(z)
+            v, e = out if isinstance(out, tuple) else (out, 0.0)
+            values.append(float(v))
+            errors.append(float(e))
+        return values, errors
+
+    return pointwise
 
 
-def _lockstep(evaluate, runs: list):
-    """Advance generator runs, one batch per round; (results, points evaluated)."""
-    pending = {i: next(run) for i, run in enumerate(runs)}
+def _lockstep(evaluate, Z: np.ndarray, runs: list):
+    """Advance the runs over the rows of Z, one batch per round; (results, points evaluated).
+
+    Run i moves row i of Z in place and yields ``(axis, s)`` moves; a round
+    evaluates each live row plus its move.
+    """
     results = [None] * len(runs)
+    rows = list(range(len(runs)))
+    sends = [run.send for run in runs]
+    moves = [next(run) for run in runs]
     evaluations = 0
-    while pending:
-        live = list(pending)
-        evaluations += len(live)
-        for i, (v, e) in zip(live, evaluate(np.array([pending[i] for i in live]))):
+    while rows:
+        P = Z.take(rows, axis=0)  # a copy; faster than Z[rows] for a list
+        for k, (axis, s) in enumerate(moves):
+            P[k, axis] += s
+        evaluations += len(rows)
+        values, errors = evaluate(P)
+        finished = []
+        for k, send in enumerate(sends):
             try:
-                pending[i] = runs[i].send((float(v), float(e)))
+                moves[k] = send((values[k], errors[k]))
             except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
+                results[rows[k]] = done.value
+                finished.append(k)
+        if finished:
+            keep = [k for k in range(len(rows)) if k not in finished]
+            rows, sends, moves = ([xs[k] for k in keep] for xs in (rows, sends, moves))
     return results, evaluations
 
 
@@ -300,9 +330,9 @@ def maximize(prob: MaxProblem) -> MaxResult:
     since the spread of a single limit is 0 and certifies nothing.
     """
     feas = _Feasible(prob.feasible)
-    starts = feas.starts(prob.multistart, prob.seed)
-    runs = [_ascend(feas, z0, prob) for z0 in starts]
-    finals, evaluations = _lockstep(_evaluator(prob.objective), runs)
+    Z = feas.starts(prob.multistart, prob.seed)
+    runs = [_ascend(feas, z, prob) for z in Z]
+    finals, evaluations = _lockstep(_evaluator(prob.objective), Z, runs)
     converged = [(z, v) for z, v, _, ok in finals if ok]
     if not converged:
         raise ConvergenceError("no start converged within the cycle cap")
@@ -315,7 +345,7 @@ def maximize(prob: MaxProblem) -> MaxResult:
         diff = pts[:, None, :] - pts[None, :, :]
         spread = float(np.linalg.norm(diff, axis=2).max())
     return MaxResult(
-        argmax=winner[0],
+        argmax=winner[0].copy(),
         value=winner[1],
         starts_converged=len(converged),
         max_pairwise_spread=spread,
@@ -370,7 +400,8 @@ def problem_from_json(data: dict) -> MaxProblem:
         objective = field_from_json(spec)
 
     feasible = feasible_from_json(data["feasible"])
-    opts = {k: data[k] for k in ("tolerance", "multistart", "seed") if k in data}
+    decoders = {"tolerance": number, "multistart": integer, "seed": integer}
+    opts = {k: read_key(data, k, dec, "problem") for k, dec in decoders.items() if k in data}
     return MaxProblem(objective=objective, feasible=feasible, **opts)
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +261,52 @@ class TestDescriptors:
         assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 2
         assert "'tolerence'" in capsys.readouterr().err
 
+    PROBLEM = {
+        "objective": {"kind": "oracle_p", "a": 1, "b": 4},
+        "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]},
+    }
+    INSTANCE = {
+        "f0": {"kind": "indicator", "body": {"kind": "interval", "a": 0, "b": 1}},
+        "f1": {"kind": "indicator", "body": {"kind": "interval", "a": 2, "b": 4}},
+        "ell": 0,
+        "lambda": 0.5,
+    }
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tolerance", "1e-6"),
+            ("tolerance", None),
+            ("multistart", "4"),
+            ("multistart", 2.5),
+            ("multistart", True),
+            ("seed", "7"),
+            ("seed", [7]),
+        ],
+    )
+    def test_non_numeric_maximize_option_is_input_error(self, key, value, tmp_path, capsys):
+        prob = write(tmp_path / "prob.json", {**self.PROBLEM, key: value})
+        assert main(["maximize", "--problem", prob]) == 2
+        assert f"problem.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda", [0.5]),
+            ("lambda", "0.5"),
+            ("ell", [1]),
+            ("ell", None),
+            ("ell", True),
+            ("ell", "one"),
+            ("grid_points", "512"),
+            ("grid_points", 64.5),
+        ],
+    )
+    def test_non_numeric_bbl_value_is_input_error(self, key, value, tmp_path, capsys):
+        inst = write(tmp_path / "inst.json", {**self.INSTANCE, key: value})
+        assert main(["bbl", "--instance", inst]) == 2
+        assert f"BBL instance.{key}" in capsys.readouterr().err
+
     def test_field_objective_needs_no_wrapper(self, tmp_path, capsys):
         prob = {
             "objective": {"kind": "gauss_weierstrass", "n": 1},
@@ -275,3 +325,14 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_python_dash_m_runs_main(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = lambda *argv: subprocess.run(
+            [sys.executable, "-m", "concavekit", *argv], env=env, capture_output=True, timeout=120
+        )
+        ok = run("means", "--p", "0", "--a", "1", "--b", "4", "--lambda", "0.5")
+        assert ok.returncode == 0 and ok.stdout.decode().strip() == "2.0"
+        assert run("frobnicate").returncode == 2

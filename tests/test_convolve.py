@@ -255,11 +255,22 @@ class TestExactFieldHelpers:
         rng = make_rng(49)
         x = rng.uniform(-3, 3, 200)
         t = rng.uniform(0.1, 5, 200)
-        assert np.allclose(W(x[:, None], t), oracle_W_interval(-1, 1, x, t), rtol=1e-14)
+        # the field and the public oracle share one kernel: the same bits
+        assert np.array_equal(W(x[:, None], t), oracle_W_interval(-1, 1, x, t))
 
     def test_poisson_indicator_matches_oracle(self):
         P = PoissonIndicatorField(-1, 1)
         rng = make_rng(50)
         x = rng.uniform(-3, 3, 200)
         t = rng.uniform(0.1, 5, 200)
-        assert np.allclose(P(x[:, None], t), oracle_P_interval(-1, 1, x, t), rtol=1e-14)
+        assert np.array_equal(P(x[:, None], t), oracle_P_interval(-1, 1, x, t))
+
+    @pytest.mark.parametrize("oracle", [oracle_W_interval, oracle_P_interval])
+    def test_public_oracles_keep_their_checks(self, oracle):
+        with pytest.raises(ValueError, match="positive"):
+            oracle(-1, 1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            oracle(-1, 1, [0.0, 0.5], [1.0, -1.0])
+        with pytest.raises(ValueError, match="a < b"):
+            oracle(1, 1, 0.0, 1.0)
+        assert type(oracle(-1, 1, 0.25, 1.0)) is float

@@ -213,3 +213,68 @@ def test_non_finite_time_is_refused(kind, t):
             call(x, t)
         with pytest.raises(ValueError, match="time outside"):
             call(np.zeros((3, phi.dim)), [phi.t_lo + 1.0, t, phi.t_lo + 2.0])
+
+
+SPACETIME_KINDS = sorted(k for k, cls in _KINDS.items() if issubclass(cls, SpaceTimeField))
+
+
+class TestSpaceTimeBatch:
+    """A batch call gives each point's own value, bit for bit, and writes no time.
+
+    Batches of 6 and of 40 points take both ways of checking the times.
+    """
+
+    @staticmethod
+    def _batch(kind, m):
+        phi = from_json(SAMPLES[kind], SpaceTimeField)
+        rng = make_rng(11)
+        X = rng.uniform(-1.5, 2.5, size=(m, phi.dim))
+        T = phi.t_lo + rng.uniform(0.3, 2.5, size=m)
+        T.flags.writeable = False  # a write into the caller's times raises
+        return phi, X, T
+
+    @pytest.mark.parametrize("m", [6, 40])
+    @pytest.mark.parametrize("kind", SPACETIME_KINDS)
+    def test_batch_matches_points(self, kind, m):
+        phi, X, T = self._batch(kind, m)
+        before = T.copy()
+        values, errors = phi.eval_with_error(X, T)
+        assert values.shape == errors.shape == (m,)
+        assert np.array_equal(phi(X, T), values)
+        for i in range(m):
+            v, e = phi.eval_with_error(X[i], T[i])
+            assert type(v) is float and type(e) is float
+            assert v == values[i] and e == errors[i]
+            assert phi(X[i], T[i]) == v
+        assert np.array_equal(T, before)
+
+    @pytest.mark.parametrize("kind", SPACETIME_KINDS)
+    def test_one_time_for_the_batch(self, kind):
+        phi, X, T = self._batch(kind, 6)
+        t = float(T[0])
+        values, errors = phi.eval_with_error(X, t)
+        one = np.array([t])
+        one.flags.writeable = False
+        for got in (phi.eval_with_error(X, one), phi.eval_with_error(X, np.full(6, t))):
+            assert np.array_equal(got[0], values) and np.array_equal(got[1], errors)
+        assert np.array_equal(phi(X, t), values)
+        assert np.array_equal(phi(X, one), values)
+        assert [phi(x, t) for x in X] == values.tolist()
+
+    @pytest.mark.parametrize("m", [6, 40])
+    @pytest.mark.parametrize("kind", SPACETIME_KINDS)
+    def test_bad_time_in_a_batch_is_refused(self, kind, m):
+        phi, X, T = self._batch(kind, m)
+        bad = [math.nan, math.inf, -math.inf, phi.t_lo, phi.t_lo - 0.5]
+        if math.isfinite(phi.t_hi):
+            bad += [phi.t_hi, phi.t_hi + 1.0]
+        for t in bad:
+            T_bad = T.copy()
+            T_bad[m // 2] = t
+            for call in (phi, phi.eval_with_error):
+                with pytest.raises(ValueError, match="time outside"):
+                    call(X, T_bad)
+                with pytest.raises(ValueError, match="time outside"):
+                    call(X, t)
+                with pytest.raises(ValueError, match="time outside"):
+                    call(X, np.array([t]))
