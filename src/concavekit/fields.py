@@ -380,7 +380,7 @@ class SpaceTimeField(Descriptor):
         else:
             ok = bool(((T > lo) & (T < hi)).all())
         if not ok:
-            raise ValueError(f"time outside the field's interval ({self.t_lo}, {self.t_hi})")
+            raise ValueError(f"time outside the field's interval ({lo}, {hi})")
         if T.shape != (len(P),):
             T = np.broadcast_to(T, (len(P),))
         return P, T, single_x and np.isscalar(t)

@@ -279,13 +279,8 @@ def _evaluator(objective):
         return lambda Z: _floats(*objective.eval_with_error(Z))
 
     def pointwise(Z):
-        values, errors = [], []
-        for z in Z:
-            out = objective(z)
-            v, e = out if isinstance(out, tuple) else (out, 0.0)
-            values.append(float(v))
-            errors.append(float(e))
-        return values, errors
+        outs = [out if isinstance(out, tuple) else (out, 0.0) for out in map(objective, Z)]
+        return _floats(*zip(*outs))
 
     return pointwise
 
