@@ -342,10 +342,6 @@ class PullbackField(ScalarField):
 # ---------------------------------------------------------------------------
 
 
-# batches up to this size are checked in Python floats
-_FEW = 32
-
-
 class SpaceTimeField(Descriptor):
     """Nonnegative function on R^n x (t_lo, t_hi)."""
 
@@ -357,6 +353,10 @@ class SpaceTimeField(Descriptor):
     claimed_mode: str | None = None  # "plain" | "strict" | "almost_strict"
 
     def _eval(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Values at the points ``P`` and times ``T``, one time per point.
+
+        ``T`` may be the caller's own array, so it must not be written.
+        """
         raise NotImplementedError
 
     def _eval_err(self, P: np.ndarray, T: np.ndarray):
@@ -372,15 +372,9 @@ class SpaceTimeField(Descriptor):
         """
         P, single_x = _pts(x, self.dim)
         T = np.asarray(t, dtype=float)
-        lo, hi = self.t_lo, self.t_hi
-        # written so that NaN times fail too; a few times are compared in
-        # Python floats, which skips numpy's per-call set-up
-        if T.size <= _FEW:
-            ok = all(lo < s < hi for s in T.reshape(-1).tolist())
-        else:
-            ok = bool(((T > lo) & (T < hi)).all())
-        if not ok:
-            raise ValueError(f"time outside the field's interval ({lo}, {hi})")
+        # written so that NaN times fail too
+        if (~((T > self.t_lo) & (T < self.t_hi))).any():
+            raise ValueError(f"time outside the field's interval ({self.t_lo}, {self.t_hi})")
         if T.shape != (len(P),):
             T = np.broadcast_to(T, (len(P),))
         return P, T, single_x and np.isscalar(t)

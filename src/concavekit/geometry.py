@@ -145,7 +145,9 @@ def number(value) -> float:
 
 
 def integer(value) -> int:
-    """Decode a JSON integer; a fraction, a string or a boolean is refused."""
+    """Decode a JSON integer (4 or 4.0); a fraction, a string or a boolean is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"expected an integer, not {value!r}")
     return int(value)

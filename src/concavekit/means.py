@@ -50,10 +50,7 @@ def as_exponent(value) -> float:
         value = float(s)
     if isinstance(value, bool):
         raise ValueError(f"an exponent is a number or 'inf'/'-inf', not {value!r}")
-    try:
-        p = float(value)
-    except TypeError:
-        raise ValueError(f"an exponent is a number or 'inf'/'-inf', not {value!r}") from None
+    p = float(value)
     if math.isnan(p):
         raise ValueError("exponent must not be NaN")
     return p

@@ -307,6 +307,14 @@ class TestDescriptors:
         assert main(["bbl", "--instance", inst]) == 2
         assert f"BBL instance.{key}" in capsys.readouterr().err
 
+    def test_integral_float_counts_are_read(self, tmp_path, capsys):
+        prob = write(tmp_path / "prob.json", {**self.PROBLEM, "multistart": 4.0, "seed": 7.0})
+        assert main(["maximize", "--problem", prob]) == 0
+        assert json.loads(capsys.readouterr().out)["starts_converged"] == 4
+        inst = write(tmp_path / "inst.json", {**self.INSTANCE, "grid_points": 64.0})
+        assert main(["bbl", "--instance", inst]) == 0
+        assert json.loads(capsys.readouterr().out)["grid_points"] == 64
+
     def test_field_objective_needs_no_wrapper(self, tmp_path, capsys):
         prob = {
             "objective": {"kind": "gauss_weierstrass", "n": 1},
