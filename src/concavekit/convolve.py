@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .fields import (
     GaussWeierstrassKernel,
@@ -29,7 +28,7 @@ from .fields import (
     ScalarField,
     SpaceTimeField,
 )
-from .geometry import Ball, Box, ConvexBody, Key, Polytope, midpoint_grid
+from .geometry import Ball, Box, ConvexBody, Key, Polytope, midpoint_grid, number
 from .sampling import make_rng
 
 __all__ = [
@@ -181,6 +180,8 @@ def poisson_integral(g: ScalarField, x, t: float, quad: QuadratureSpec) -> Convo
 
 
 def _heat_interval(a: float, b: float, x, t):
+    from scipy.special import erf  # on first use: scipy costs 0.3 s to import
+
     s = 2.0 * np.sqrt(t)
     return 0.5 * (erf((b - x) / s) - erf((a - x) / s))
 
@@ -260,7 +261,7 @@ class ConvolutionField(
         raise ValueError("a convolution field's quadrature has no descriptor")
 
 
-class HeatIndicatorField(SpaceTimeField, kind="oracle_w", keys={"a": float, "b": float}):
+class HeatIndicatorField(SpaceTimeField, kind="oracle_w", keys={"a": number, "b": number}):
     """Exact heat convolution of an interval indicator (n = 1, closed form)."""
 
     def __init__(self, a: float, b: float):
@@ -277,7 +278,7 @@ class HeatIndicatorField(SpaceTimeField, kind="oracle_w", keys={"a": float, "b":
         return _heat_interval(self.a, self.b, P[:, 0], T)
 
 
-class PoissonIndicatorField(SpaceTimeField, kind="oracle_p", keys={"a": float, "b": float}):
+class PoissonIndicatorField(SpaceTimeField, kind="oracle_p", keys={"a": number, "b": number}):
     """Exact Poisson convolution of an interval indicator (n = 1, closed form)."""
 
     def __init__(self, a: float, b: float):

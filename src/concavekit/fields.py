@@ -21,6 +21,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import ConvexBody, Descriptor, Key, check_keys, float_array, from_json
+from .geometry import integer, number, read_key
 from .means import as_exponent
 
 __all__ = [
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 # the "n" key of a descriptor: the space dimension, 1 when left out
-_N = Key(int, 1, "dim")
+_N = Key(integer, 1, "dim")
 
 
 def sigma_sphere(n: int) -> float:
@@ -119,7 +120,7 @@ class ScalarField(Descriptor):
 
 
 class IndicatorField(
-    ScalarField, kind="indicator", keys={"body": ConvexBody, "height": Key(float, 1.0)}
+    ScalarField, kind="indicator", keys={"body": ConvexBody, "height": Key(number, 1.0)}
 ):
     """height * indicator of a convex body."""
 
@@ -140,7 +141,7 @@ class IndicatorField(
 class TentField(
     ScalarField,
     kind="tent",
-    keys={"body": ConvexBody, "height": Key(float, 1.0), "center": Key(float_array, None)},
+    keys={"body": ConvexBody, "height": Key(number, 1.0), "center": Key(float_array, None)},
 ):
     """Affine cap height * max(0, 1 - gauge(x - center)) over a body.
 
@@ -170,7 +171,7 @@ class TentField(
         return self.height * np.maximum(0.0, 1.0 - self.body.gauge(P, self.center))
 
 
-class ConstantField(ScalarField, kind="constant", keys={"value": float, "n": _N}):
+class ConstantField(ScalarField, kind="constant", keys={"value": number, "n": _N}):
     def __init__(self, value: float, dim: int = 1):
         if value < 0:
             raise ValueError("field values must be nonnegative")
@@ -181,7 +182,7 @@ class ConstantField(ScalarField, kind="constant", keys={"value": float, "n": _N}
         return np.full(len(P), self.value)
 
 
-class GaussWeierstrassSlice(ScalarField, kind="gaussian", keys={"n": _N, "t": float}):
+class GaussWeierstrassSlice(ScalarField, kind="gaussian", keys={"n": _N, "t": number}):
     """Heat kernel (4 pi t)^{-n/2} exp(-|x|^2 / 4t) at a fixed time."""
 
     def __init__(self, n: int, t: float):
@@ -197,7 +198,7 @@ class GaussWeierstrassSlice(ScalarField, kind="gaussian", keys={"n": _N, "t": fl
         return (4 * math.pi * self.t) ** (-self.dim / 2) * np.exp(-r2 / (4 * self.t))
 
 
-class PoissonSlice(ScalarField, kind="poisson_slice", keys={"n": _N, "t": float}):
+class PoissonSlice(ScalarField, kind="poisson_slice", keys={"n": _N, "t": number}):
     """Half-space Poisson kernel (2t/sigma_n)(|x|^2+t^2)^{-(n+1)/2} at fixed t."""
 
     def __init__(self, n: int, t: float):
@@ -244,7 +245,7 @@ def _profile_from_json(data) -> RadialProfile:
     check_keys(data, ("kind", "rate"), "radial profile")
     if data.get("kind") != "exp_decay":
         raise ValueError(f"unknown radial profile kind: {data.get('kind')!r}")
-    rate = float(data.get("rate", 1.0))
+    rate = read_key(data, "rate", Key(number, 1.0), "radial profile")
     return RadialProfile(lambda r: np.exp(-rate * r), strictly_decreasing=True)
 
 
@@ -395,7 +396,7 @@ class SpaceTimeField(Descriptor):
 
 
 class FixedTimeSlice(
-    ScalarField, kind="slice", keys={"field": Key(SpaceTimeField, attr="st_field"), "t": float}
+    ScalarField, kind="slice", keys={"field": Key(SpaceTimeField, attr="st_field"), "t": number}
 ):
     """Space restriction phi(., t) of a space-time field."""
 
@@ -444,7 +445,7 @@ class PoissonKernel(SpaceTimeField, kind="poisson_kernel", keys={"n": _N}):
         return self._two_over_sigma * T * (r2 + T * T) ** (-(self.dim + 1) / 2)
 
 
-_ABC_N = {"a": float, "b": float, "c": float, "n": _N}
+_ABC_N = {"a": number, "b": number, "c": number, "n": _N}
 
 
 class KappaExpKernel(SpaceTimeField, kind="kappa_exp", keys=_ABC_N):
@@ -501,7 +502,7 @@ class KappaPowerKernel(SpaceTimeField, kind="kappa_power", keys=_ABC_N):
 class LiftedField(
     SpaceTimeField,
     kind="lifted",
-    keys={"field": Key(ScalarField, attr="f"), "p": as_exponent, "alpha": float},
+    keys={"field": Key(ScalarField, attr="f"), "p": as_exponent, "alpha": number},
 ):
     """Time lift t^{alpha/p} f(x / t^alpha) of a spatial profile f.
 

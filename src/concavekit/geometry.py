@@ -28,7 +28,6 @@ numpy sums pairwise, and both helpers call numpy's reduction instead.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -133,15 +132,18 @@ def row_norm(A) -> np.ndarray:
 _REQUIRED = object()
 _KINDS: dict[str, type] = {}
 
-# decodes a JSON number or nested list of numbers
-float_array = functools.partial(np.asarray, dtype=float)
-
-
 def number(value) -> float:
     """Decode a JSON number; a string, a boolean or a container is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number, not {value!r}")
     return float(value)
+
+
+def float_array(value) -> np.ndarray:
+    """Decode a JSON number or nested list of numbers; a string, boolean or null is refused."""
+    for v in np.asarray(value, dtype=object).flat:
+        number(v)
+    return np.asarray(value, dtype=float)
 
 
 def integer(value) -> int:
@@ -385,7 +387,7 @@ class Box(ConvexBody, kind="box", keys={"lo": float_array, "hi": float_array}):
         return rng.uniform(self.lo, self.hi, size=(k, self.dim))
 
 
-class Interval(Box, kind="interval", keys={"a": float, "b": float}):
+class Interval(Box, kind="interval", keys={"a": number, "b": number}):
     """The closed interval [a, b], as a 1-d box."""
 
     def __init__(self, a, b):
@@ -406,7 +408,7 @@ class Interval(Box, kind="interval", keys={"a": float, "b": float}):
 
 
 @dataclass(frozen=True)
-class Ball(ConvexBody, kind="ball", keys={"center": float_array, "radius": float}):
+class Ball(ConvexBody, kind="ball", keys={"center": float_array, "radius": number}):
     center: np.ndarray
     radius: float
 
@@ -875,7 +877,7 @@ def interior_witness_outside(omega: ConvexBody, s: float, mu: float, v) -> np.nd
 
 @dataclass(frozen=True)
 class SpaceTimeBox(
-    Descriptor, kind="spacetime_box", keys={"body": ConvexBody, "t_lo": float, "t_hi": float}
+    Descriptor, kind="spacetime_box", keys={"body": ConvexBody, "t_lo": number, "t_hi": number}
 ):
     """Sampleable box body x-range times [t_lo, t_hi] in R^n x (0, inf)."""
 

@@ -20,6 +20,14 @@ each move, and evaluates the batch: one ``eval_with_error`` call for a
 field objective, one call per point for any other callable.  Each start
 follows the trajectory it has alone, since a pure objective's values do not
 depend on the batch.
+
+The starts are the first ``multistart`` feasible points of the scrambled
+Sobol sequence of ``sampling.sobol(d, seed)`` over the bounding box's d
+non-degenerate axes, drawn in batches of the smallest power of two, at
+least 8, that holds them, and at most 64 batches.  Those points equal
+``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``'s bit for bit, so
+a seed names the same starts as it did when scipy drew them.  A feasible
+set with more than 32 non-degenerate axes raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .convolve import PoissonIndicatorField
 from .fields import ScalarField, SpaceTimeField, field_from_json
 from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox
 from .geometry import check_keys, from_json, integer, number, read_key
+from .sampling import sobol
 
 __all__ = [
     "MaxProblem",
@@ -130,16 +139,14 @@ class _Feasible:
         self.diameter = float(np.linalg.norm(self.span))
 
     def starts(self, count: int, seed: int) -> np.ndarray:
-        """Stratified starting points (scrambled Sobol, membership-filtered)."""
-        from scipy.stats import qmc
-
+        """Stratified starting points (scrambled Sobol, membership-filtered); see the module."""
         active = self.span > 0
         out = []
         if active.any():
-            sob = qmc.Sobol(d=int(active.sum()), scramble=True, seed=seed)
+            draw = sobol(int(active.sum()), seed)
             batch = 1 << max(3, (count - 1).bit_length())
             for _ in range(64):
-                u = sob.random(batch)
+                u = draw(batch)
                 pts = np.tile(self.lo.astype(float), (len(u), 1))
                 pts[:, active] = self.lo[active] + u * self.span[active]
                 for z in pts:
@@ -404,8 +411,7 @@ def feasible_from_json(fspec: dict):
     """Feasible-set descriptor: a body, a space-time box, or a degenerate box."""
     if isinstance(fspec, dict) and fspec.get("kind") == "box":
         check_keys(fspec, ("kind", *Box.keys), "box")
-        lo = np.atleast_1d(np.asarray(fspec["lo"], dtype=float))
-        hi = np.atleast_1d(np.asarray(fspec["hi"], dtype=float))
+        lo, hi = (np.atleast_1d(read_key(fspec, k, Box.keys[k], "box")) for k in ("lo", "hi"))
         if (lo < hi).all():
             return Box(lo, hi)
         return (lo, hi)  # segment-like constraint with zero-width axes

@@ -261,12 +261,13 @@ class TestDescriptors:
         assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 2
         assert "'tolerence'" in capsys.readouterr().err
 
+    INTERVAL = {"kind": "interval", "a": 0, "b": 1}
     PROBLEM = {
         "objective": {"kind": "oracle_p", "a": 1, "b": 4},
         "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]},
     }
     INSTANCE = {
-        "f0": {"kind": "indicator", "body": {"kind": "interval", "a": 0, "b": 1}},
+        "f0": {"kind": "indicator", "body": INTERVAL},
         "f1": {"kind": "indicator", "body": {"kind": "interval", "a": 2, "b": 4}},
         "ell": 0,
         "lambda": 0.5,
@@ -307,6 +308,58 @@ class TestDescriptors:
         assert main(["bbl", "--instance", inst]) == 2
         assert f"BBL instance.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, data, where",
+        [
+            (
+                ["convolve", "--kernel", "gw", "--xgrid=-1:1:3", "--tgrid", "1:1:1", "--body"],
+                {"kind": "interval", "a": "0", "b": 1},
+                "interval.a",
+            ),
+            (
+                ["convolve", "--kernel", "gw", "--xgrid=-1:1:3", "--tgrid", "1:1:1", "--body"],
+                {"kind": "interval", "a": 0, "b": True},
+                "interval.b",
+            ),
+            (
+                ["check", "parabolic", "--p", "-1", "--alpha", "0.5", "--domain", "{dom}", "--field"],
+                {"kind": "gauss_weierstrass", "n": 2.7},
+                "gauss_weierstrass.n",
+            ),
+            (
+                ["check", "parabolic", "--p", "-1", "--alpha", "0.5", "--field", "{gw}", "--domain"],
+                {"body": {"kind": "interval", "a": -2, "b": 2}, "t_lo": "0.5", "t_hi": 4.0},
+                "spacetime_box.t_lo",
+            ),
+            (
+                ["check", "concavity", "--p", "1", "--field"],
+                {"kind": "tent", "body": {"kind": "ball", "center": [True, 0], "radius": 1}},
+                "ball.center",
+            ),
+            (
+                ["maximize", "--problem"],
+                {**PROBLEM, "objective": {"kind": "oracle_p", "a": "1", "b": 4}},
+                "oracle_p.a",
+            ),
+            (
+                ["maximize", "--problem"],
+                {**PROBLEM, "feasible": {"kind": "box", "lo": ["0", 0.5], "hi": [0, 5]}},
+                "box.lo",
+            ),
+            (
+                ["bbl", "--instance"],
+                {**INSTANCE, "f1": {"kind": "indicator", "body": INTERVAL, "height": "2"}},
+                "indicator.height",
+            ),
+        ],
+    )
+    def test_loose_nested_value_is_input_error(
+        self, command, data, where, tmp_path, capsys, gw_field, st_domain
+    ):
+        argv = [a.format(gw=gw_field, dom=st_domain) for a in command]
+        assert main([*argv, write(tmp_path / "data.json", data)]) == 2
+        assert where in capsys.readouterr().err
+
     def test_integral_float_counts_are_read(self, tmp_path, capsys):
         prob = write(tmp_path / "prob.json", {**self.PROBLEM, "multistart": 4.0, "seed": 7.0})
         assert main(["maximize", "--problem", prob]) == 0
@@ -344,3 +397,62 @@ class TestTopLevel:
         ok = run("means", "--p", "0", "--a", "1", "--b", "4", "--lambda", "0.5")
         assert ok.returncode == 0 and ok.stdout.decode().strip() == "2.0"
         assert run("frobnicate").returncode == 2
+
+    # after each command, no scipy module may be loaded; the features that
+    # need one still load it on first use
+    FOOTPRINT = """
+import json, sys
+import concavekit
+from concavekit.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+for argv, rc in json.loads(sys.argv[1]):
+    assert main(argv) == rc, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert abs(concavekit.oracle_W_interval(-1, 1, 0.0, 1.0) - 0.5204998778130465) < 1e-15
+assert abs(concavekit.Polytope([[0, 0], [1, 0], [0, 1]]).volume() - 0.5) < 1e-15
+print("ok")
+"""
+
+    def test_common_commands_load_no_scipy(self, tmp_path, gw_field):
+        interval = {"kind": "interval", "a": -1, "b": 1}
+        indicator = write(tmp_path / "ind.json", {"kind": "indicator", "body": interval})
+        inst = {
+            "f0": {"kind": "indicator", "body": interval},
+            "f1": {"kind": "indicator", "body": {"kind": "interval", "a": 0, "b": 3}},
+            "ell": 0,
+            "lambda": 0.3,
+            "grid_points": 64,
+        }
+        box_problem = {
+            "objective": {"kind": "oracle_p", "a": 1, "b": 4},
+            "feasible": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 5]},
+            "multistart": 4,
+        }
+        field_problem = {
+            "objective": {"kind": "spacetime_field", "field": {"kind": "gauss_weierstrass"}},
+            "feasible": {"kind": "spacetime_box", "body": interval, "t_lo": 0.5, "t_hi": 2},
+            "multistart": 4,
+            "tolerance": 1e-6,
+        }
+        out = str(tmp_path / "out.json")
+        commands = [
+            (["means", "--p", "0", "--a", "1", "--b", "4", "--lambda", "0.5"], 0),
+            (["bbl", "--instance", write(tmp_path / "inst.json", inst), "--out", out], 0),
+            (
+                ["check", "concavity", "--field", indicator, "--p", "inf", "--mode", "strict"]
+                + ["--samples", "200", "--out", out],
+                1,
+            ),
+            (["maximize", "--problem", write(tmp_path / "box.json", box_problem), "--out", out], 0),
+            (["maximize", "--problem", write(tmp_path / "st.json", field_problem), "--out", out], 0),
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-c", self.FOOTPRINT, json.dumps(commands)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0 and run.stdout.splitlines()[-1] == "ok", run.stderr

@@ -12,7 +12,7 @@ import pytest
 
 from concavekit.fields import ScalarField, SpaceTimeField, field_from_json
 from concavekit.geometry import _KINDS, _REQUIRED, ConvexBody, SpaceTimeBox, body_from_json
-from concavekit.geometry import from_json
+from concavekit.geometry import float_array, from_json, integer, number
 from concavekit.sampling import make_rng
 
 INTERVAL = {"kind": "interval", "a": -1, "b": 2}
@@ -157,6 +157,31 @@ def test_nested_descriptor_of_another_type_is_refused(kind, key, wrong):
         from_json({**SAMPLES[kind], key: value}, _KINDS[kind])
 
 
+def _with_first_number(value, new):
+    """``value`` (a number or nested list) with its first number replaced by ``new``."""
+    if isinstance(value, list):
+        return [_with_first_number(value[0], new), *value[1:]]
+    return new
+
+
+@pytest.mark.parametrize(
+    "kind, key, wrong",
+    [
+        (kind, key, wrong)
+        for kind, cls in sorted(_KINDS.items())
+        for key, spec in cls.keys.items()
+        if spec.decode in (number, integer, float_array)
+        for wrong in ("1", True, None)
+    ]
+    + [("constant", "n", 1.5), ("gauss_weierstrass", "n", 2.7)],
+    ids=str,
+)
+def test_non_number_is_refused(kind, key, wrong):
+    value = _with_first_number(SAMPLES[kind].get(key, 1), wrong)
+    with pytest.raises(ValueError, match=f"{kind}.{key}"):
+        from_json({**SAMPLES[kind], key: value}, _KINDS[kind])
+
+
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_typed_lookups_refuse_the_other_family(kind):
     cls = _KINDS[kind]
@@ -184,6 +209,7 @@ def test_non_object_is_refused(data):
         {"kind": "ball", "center": {"x": 0}, "radius": 1},
         {"kind": "radial", "profile": {"kind": "exp_decay", "rat": 2.0}},
         {"kind": "radial", "profile": {"kind": "gaussian"}},
+        {"kind": "radial", "profile": {"kind": "exp_decay", "rate": "2"}},
         {"kind": "convolution", "kernel": "heat", "psi": INDICATOR},
         {"kind": "convolution", "psi": {"kind": "gaussian", "t": 1.0}},
         {"kind": "product", "factors": 3},

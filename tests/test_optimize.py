@@ -19,6 +19,7 @@ from concavekit.fields import (
 )
 from concavekit.geometry import Ball, Box, HatRegion, Interval, Polytope, SpaceTimeBox
 from concavekit.optimize import MaxProblem, maximize, problem_from_json, regiomontanus
+from concavekit.sampling import sobol
 
 
 class TestMaximize:
@@ -174,6 +175,27 @@ class TestLockstep:
         assert sizes == sorted(sizes, reverse=True)
         if case == "ball":
             assert len(set(sizes)) > 2  # starts finished in different rounds
+
+
+class TestSobol:
+    """The start points are scipy's scrambled Sobol points, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 2])
+    def test_matches_scipy_across_batches(self, seed):
+        from scipy.stats import qmc
+
+        for d in range(1, 33):
+            engine = qmc.Sobol(d, scramble=True, seed=seed)
+            draw = sobol(d, seed)
+            for n in (8, 8, 8, 64):
+                assert np.array_equal(draw(n), engine.random(n)), (d, n)
+
+    def test_more_than_32_axes_is_refused(self):
+        with pytest.raises(ValueError, match="32"):
+            sobol(33, 0)
+        box = (np.zeros(33), np.ones(33))
+        with pytest.raises(ValueError, match="32"):
+            maximize(MaxProblem(objective=lambda z: -float(z @ z), feasible=box))
 
 
 class TestPinnedMaxResults:
