@@ -15,6 +15,13 @@ def write(path, data):
     return str(path)
 
 
+def src_env():
+    """The environment of a subprocess that imports the package from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 @pytest.fixture
 def gw_field(tmp_path):
     return write(tmp_path / "gw.json", {"kind": "gauss_weierstrass", "n": 1})
@@ -388,11 +395,11 @@ class TestTopLevel:
         assert main(["frobnicate"]) == 2
 
     def test_python_dash_m_runs_main(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         run = lambda *argv: subprocess.run(
-            [sys.executable, "-m", "concavekit", *argv], env=env, capture_output=True, timeout=120
+            [sys.executable, "-m", "concavekit", *argv],
+            env=src_env(),
+            capture_output=True,
+            timeout=120,
         )
         ok = run("means", "--p", "0", "--a", "1", "--b", "4", "--lambda", "0.5")
         assert ok.returncode == 0 and ok.stdout.decode().strip() == "2.0"
@@ -417,7 +424,7 @@ assert abs(concavekit.Polytope([[0, 0], [1, 0], [0, 1]]).volume() - 0.5) < 1e-15
 print("ok")
 """
 
-    def test_common_commands_load_no_scipy(self, tmp_path, gw_field):
+    def test_common_commands_load_no_scipy(self, tmp_path):
         interval = {"kind": "interval", "a": -1, "b": 1}
         indicator = write(tmp_path / "ind.json", {"kind": "indicator", "body": interval})
         inst = {
@@ -450,9 +457,6 @@ print("ok")
             (["maximize", "--problem", write(tmp_path / "box.json", box_problem), "--out", out], 0),
             (["maximize", "--problem", write(tmp_path / "st.json", field_problem), "--out", out], 0),
         ]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         argv = [sys.executable, "-c", self.FOOTPRINT, json.dumps(commands)]
-        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        run = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=120)
         assert run.returncode == 0 and run.stdout.splitlines()[-1] == "ok", run.stderr
