@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,24 @@ class TestConvolve:
         center = [r for r in rows if float(r[0]) == 0.0][0]
         assert float(center[2]) == pytest.approx(0.5, abs=1e-4)
         assert float(center[3]) >= 0
+
+    GOLDEN = Path(__file__).resolve().parent / "golden" / "convolve_ball.csv"
+
+    def test_ball_grid_matches_golden(self, tmp_path, monkeypatch):
+        """A 2-d ball grid prints the bytes of tests/golden/convolve_ball.csv.
+
+        Only the manifest's wall time is masked.  After an intended change of
+        output, regenerate the file from this test's command and review the
+        diff.
+        """
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "ball.json", {"kind": "ball", "center": [0.25, -0.5], "radius": 1.0})
+        argv = ["convolve", "--kernel", "poisson", "--body", "ball.json"]
+        argv += ["--xgrid=-1:1.5:4,-2:1:3", "--tgrid", "0.05:1.25:3", "--out", "grid.csv"]
+        assert main(argv) == 0
+        text = (tmp_path / "grid.csv").read_text()
+        masked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": null', text, count=1)
+        assert masked == self.GOLDEN.read_text()
 
 
 class TestBBL:

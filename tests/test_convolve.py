@@ -165,6 +165,146 @@ class TestQuadratureAgreement:
             QuadratureSpec(support=Interval(-1, 1), points_per_axis=4)
 
 
+class TestPinnedBits:
+    """Every quadrature path keeps its value and error bits, one point or a batch.
+
+    Values and error bars are pinned by ``float.hex``: tensor grids on an
+    interval (indicator and tent data), a box, a ball and a triangle; the
+    Monte Carlo default in 3-d; points far outside the support; t = 1e-4.
+    """
+
+    INTERVAL = Interval(-1.0, 1.0)
+    BALL = Ball([0.0, 0.0], 1.0)
+    TRIANGLE = Polytope([[0.0, 0.0], [2.0, 0.3], [0.4, 1.8]])
+    # name: (kernel, data, [(x, t, value, est_error), ...])
+    CASES = {
+        "gw_interval_indicator": (
+            GaussWeierstrassKernel(1),
+            IndicatorField(INTERVAL),
+            [
+                ([0.3], 0.7, "0x1.2c8a979cff72ap-1", "0x1.403d9cc680000p-19"),
+                ([-1.2], 2.5, "0x1.35049c6cb25f0p-2", "0x1.521d0c2400000p-22"),
+                ([1.0], 0.05, "0x1.fffffffdd21c6p-2", "0x1.bd50000000000p-42"),
+            ],
+        ),
+        "poisson_interval_indicator": (
+            PoissonKernel(1),
+            IndicatorField(INTERVAL),
+            [
+                ([0.3], 0.7, "0x1.2f802ade99b12p-1", "0x1.c96ccaab00000p-19"),
+                ([-1.2], 2.5, "0x1.a267a565cc212p-3", "0x1.4ea056c800000p-23"),
+                ([1.0], 0.05, "0x1.f7da5c85b784ep-2", "0x1.e902cdd000000p-26"),
+            ],
+        ),
+        "gw_interval_tent": (
+            GaussWeierstrassKernel(1),
+            TentField(INTERVAL),
+            [
+                ([0.3], 0.7, "0x1.3ce31c898586ap-2", "0x1.7c18d32840000p-20"),
+                ([-0.6], 0.2, "0x1.8b7ccdd75aadcp-2", "0x1.0c8b621c00000p-19"),
+            ],
+        ),
+        "poisson_interval_tent": (
+            PoissonKernel(1),
+            TentField(INTERVAL),
+            [
+                ([0.3], 0.7, "0x1.596cbb2199432p-2", "0x1.c156117a80000p-19"),
+                ([1.4], 1.3, "0x1.e665541c823cbp-4", "0x1.adf97f9900000p-22"),
+            ],
+        ),
+        "gw_box": (
+            GaussWeierstrassKernel(2),
+            IndicatorField(Box([-1.0, -0.5], [1.0, 0.7])),
+            [
+                ([0.2, 0.1], 0.8, "0x1.a61b15dabcaacp-3", "0x1.082d666cc0000p-17"),
+                ([1.3, -0.9], 0.3, "0x1.93a124a9756c6p-4", "0x1.1c9a863954000p-18"),
+            ],
+        ),
+        "poisson_ball": (
+            PoissonKernel(2),
+            IndicatorField(BALL),
+            [
+                ([0.0, 0.0], 1.0, "0x1.2bc49979b682cp-2", "0x1.59f6c585787c6p-6"),
+                ([0.9, 0.4], 0.2, "0x1.9e3ac7cf66a7ep-2", "0x1.fe8eddbd66862p-2"),
+            ],
+        ),
+        "gw_ball_tent": (
+            GaussWeierstrassKernel(2),
+            TentField(Ball([0.5, -0.5], 1.25)),
+            [([0.1, 0.2], 0.6, "0x1.276fbe6f93badp-3", "0x1.4de03c9a4a58bp-6")],
+        ),
+        "gw_triangle": (
+            GaussWeierstrassKernel(2),
+            IndicatorField(TRIANGLE),
+            [
+                ([0.7, 0.6], 0.4, "0x1.200e5e9e6baa9p-2", "0x1.a9d4c5c70bdafp-6"),
+                ([-0.5, 2.0], 1.1, "0x1.db7e0f8981086p-5", "0x1.01070cc1a8a43p-7"),
+            ],
+        ),
+        "poisson_triangle": (
+            PoissonKernel(2),
+            IndicatorField(TRIANGLE),
+            [([0.7, 0.6], 0.4, "0x1.006f992fec8c3p-1", "0x1.fd3a7bd1d7165p-4")],
+        ),
+        "gw_box_3d_monte_carlo": (
+            GaussWeierstrassKernel(3),
+            IndicatorField(Box([-1.0, -1.0, -0.5], [1.0, 0.5, 0.5])),
+            [
+                ([0.1, -0.2, 0.3], 0.9, "0x1.0b354b805abd4p-4", "0x1.0e95f9760ecd3p-16"),
+                ([1.5, 0.0, -0.4], 0.4, "0x1.065f9bfdf6056p-4", "0x1.017d6fc2723bdp-13"),
+            ],
+        ),
+        "poisson_ball_3d_monte_carlo": (
+            PoissonKernel(3),
+            IndicatorField(Ball([0.0, 0.0, 0.0], 1.0)),
+            [([0.2, 0.1, -0.3], 0.5, "0x1.adf151bdc8e4cp-2", "0x1.c543a475beb6ep-10")],
+        ),
+        "gw_far_outside": (
+            GaussWeierstrassKernel(1),
+            IndicatorField(INTERVAL),
+            [([40.0], 0.5, "0x0.0p+0", "0x0.0p+0")],
+        ),
+        "poisson_far_outside": (
+            PoissonKernel(1),
+            IndicatorField(INTERVAL),
+            [([40.0], 0.5, "0x1.a169260e68228p-13", "0x1.91270e0000000p-38")],
+        ),
+        "gw_tiny_time": (
+            GaussWeierstrassKernel(1),
+            IndicatorField(INTERVAL),
+            [([-0.5], 1e-4, "0x1.0000000000000p+0", "0x1.97a03d4000000p-23")],
+        ),
+        "poisson_tiny_time": (
+            PoissonKernel(1),
+            IndicatorField(INTERVAL),
+            [
+                ([-0.5], 1e-4, "0x1.488c0ce5c5970p-5", "0x1.491bfa6e139b8p-6"),
+                ([0.31], 1e-4, "0x1.1d65966611ca2p-3", "0x1.cfdd530e7e332p-4"),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits(self, case):
+        phi, psi, rows = self.CASES[case]
+        quad = QuadratureSpec.default_for(psi.support)
+        pinned = [(v, e) for _, _, v, e in rows]
+        got = [convolve_at(phi, psi, x, t, quad) for x, t, _, _ in rows]
+        assert [(r.value.hex(), r.est_error.hex()) for r in got] == pinned
+        # a batch of more rows than one block holds in 1-d
+        reps = 70 // len(rows) + 1 if psi.dim == 1 else 2
+        X = np.array([x for x, _, _, _ in rows] * reps)
+        T = np.array([t for _, t, _, _ in rows] * reps)
+        V, E = ConvolutionField(phi, psi, quad).eval_with_error(X, T)
+        assert [(v.hex(), e.hex()) for v, e in zip(V.tolist(), E.tolist())] == pinned * reps
+
+    def test_error_budget_refuses_a_batch(self):
+        quad = QuadratureSpec(support=self.INTERVAL, points_per_axis=16, error_budget=1e-14)
+        gamma = ConvolutionField(PoissonKernel(1), IndicatorField(self.INTERVAL), quad)
+        with pytest.raises(ResolutionError):
+            gamma.eval_with_error([[3.0], [0.0]], [50.0, 0.05])
+
+
 class TestConvolutionConcavity:
     def test_heat_data_strictly_parabolically_quasi_concave(self):
         W = HeatIndicatorField(-1, 1)
