@@ -129,15 +129,14 @@ def _parse_grid(spec: str):
 
 
 def cmd_convolve(args) -> int:
-    from .convolve import KERNELS, QuadratureSpec, convolve_at
+    from .convolve import KERNELS, ConvolutionField, QuadratureSpec
     from .fields import IndicatorField
     from .geometry import body_from_json
 
     t0 = time.monotonic()
     body = body_from_json(_load_json(args.body))
-    psi = IndicatorField(body)
-    kernel = KERNELS[args.kernel](body.dim)
     quad = QuadratureSpec.default_for(body)
+    field = ConvolutionField(KERNELS[args.kernel](body.dim), IndicatorField(body), quad)
 
     x_axes = _parse_grid(args.xgrid)
     if len(x_axes) != body.dim:
@@ -146,8 +145,6 @@ def cmd_convolve(args) -> int:
     if (t_axis <= 0).any():
         raise ValueError("--tgrid must be positive")
 
-    mesh = np.meshgrid(*x_axes, indexing="ij")
-    X = np.stack([m.reshape(-1) for m in mesh], axis=1)
     manifest = _manifest(
         "convolve",
         {"kernel": args.kernel, "body": args.body, "xgrid": args.xgrid, "tgrid": args.tgrid},
@@ -156,11 +153,12 @@ def cmd_convolve(args) -> int:
 
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
     lines.append(",".join([f"x{i}" for i in range(body.dim)] + ["t", "value", "est_error"]))
-    for t in t_axis:
-        for x in X:
-            r = convolve_at(kernel, psi, x, float(t), quad)
-            coords = ",".join(repr(float(c)) for c in x)
-            lines.append(f"{coords},{float(t)!r},{r.value!r},{r.est_error!r}")
+    # one batch: t runs slowest, then x0, x1, ...
+    T, *cols = (m.reshape(-1) for m in np.meshgrid(t_axis, *x_axes, indexing="ij"))
+    P = np.stack(cols, axis=1)
+    values, errors = field.eval_with_error(P, T)
+    for x, t, v, e in zip(P.tolist(), T.tolist(), values.tolist(), errors.tolist()):
+        lines.append(",".join(map(repr, [*x, t, v, e])))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -6,13 +6,19 @@ dimensions.  Error estimates combine a Richardson comparison at half
 resolution with a boundary-layer term for masked supports; box-like supports
 align exactly with the grid and carry no masking error.
 
+The nodes (masked grids with psi's values, or the seeded Monte Carlo sample)
+are built once per quadrature plan and psi; a batch of points (x, t) is
+evaluated through them in row blocks of bounded size.  ``ConvolutionField``,
+``convolve_at`` and the ``convolve`` subcommand all take this one path.
+
 For interval indicators in one dimension the heat and Poisson convolutions
 have closed forms (erf and arctan antiderivatives).  These serve as oracles
 for the quadrature path and as exact, noise-free space-time fields for the
 concavity checks.
 
-Grid sums go through numpy's pairwise reduction, so results are bit-stable
-for a fixed grid; Monte Carlo draws from a seeded Philox stream.
+Grid sums go through numpy's pairwise reduction along each row, so results
+are bit-stable for a fixed grid and do not depend on the batch a point is
+in; Monte Carlo draws from a seeded Philox stream.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .fields import (
     ScalarField,
     SpaceTimeField,
 )
-from .geometry import Ball, Box, ConvexBody, Key, Polytope, midpoint_grid, number
+from .geometry import Box, ConvexBody, Key, Polytope, midpoint_grid, number
 from .sampling import make_rng
 
 __all__ = [
@@ -98,22 +104,77 @@ class ConvolutionResult:
         return {"value": self.value, "est_error": self.est_error}
 
 
-def _boundary_measure(support: ConvexBody) -> float:
-    """Surface measure of the support boundary (0 where the grid aligns with it)."""
-    if isinstance(support, Box) or (isinstance(support, Polytope) and support.dim == 1):
-        return 0.0
-    if isinstance(support, (Ball, Polytope)):
-        return support.surface_area()
-    lo, hi = support.bounding_box()
-    return 2.0 * float(np.sum(hi - lo))  # crude fallback
+# Terms of one (points x nodes) block, sized like bbl._PAIR_BUDGET, so memory
+# does not grow with the batch; a row of more nodes is a block of its own
+_NODE_BUDGET = 1 << 14
 
 
-def _tensor_value(integrand, support: ConvexBody, ppa: int) -> float:
-    pts, cell = midpoint_grid(*support.bounding_box(), ppa)
-    mask = support.contains_many(pts)
-    if not mask.any():
-        return 0.0
-    return float(integrand(pts[mask]).sum() * cell)
+def _terms(phi: SpaceTimeField, X, T, Y, w) -> np.ndarray:
+    """phi(x_i - y_j, t_i) w_j for the rows (x_i, t_i) and the nodes y_j, shape (rows, nodes)."""
+    D = (X[:, None, :] - Y).reshape(len(X) * len(Y), X.shape[1])
+    return phi._eval(D, np.repeat(T, len(Y))).reshape(len(X), len(Y)) * w
+
+
+class _Nodes:
+    """The integration nodes of one QuadratureSpec and data psi, built once.
+
+    ``levels`` holds (nodes, psi at the nodes, weight) triples.  A tensor grid
+    has the masked midpoints at full and half resolution, weighted by their
+    cell volume, and for supports that do not align with the grid the
+    quarter-resolution nodes whose peak term times ``boundary`` bounds the
+    masking error.  Monte Carlo has the seeded sample, psi set to 0 outside
+    the support, weighted by the volume of the bounding box.
+    """
+
+    def __init__(self, psi: ScalarField, quad: QuadratureSpec):
+        support, self.quad = quad.support, quad
+        lo, hi = support.bounding_box()
+        if psi.support is not None:
+            slo, shi = psi.support.bounding_box()
+            if not (np.allclose(slo, lo) and np.allclose(shi, hi)):
+                raise ValueError("psi support does not match the quadrature support")
+        if quad.scheme == "monte_carlo":
+            pts = make_rng(quad.mc_seed).uniform(lo, hi, size=(quad.mc_samples, support.dim))
+            w = np.where(support.contains_many(pts), psi(pts), 0.0)
+            self.levels = [(pts, w, float(np.prod(hi - lo)))]
+        else:
+            ppa = quad.points_per_axis
+            aligned = isinstance(support, Box) or (isinstance(support, Polytope) and len(lo) == 1)
+            h = float(np.max((hi - lo) / ppa))
+            self.boundary = 0.0 if aligned else support.surface_area() * h
+            self.levels = []
+            for n in [ppa, max(8, ppa // 2)] + [max(8, ppa // 4)] * (not aligned):
+                pts, cell = midpoint_grid(lo, hi, n)
+                Y = pts[support.contains_many(pts)]
+                self.levels.append((Y, psi(Y), cell))
+        self.rows = max(1, _NODE_BUDGET // max(1, len(self.levels[0][0])))
+
+    def evaluate(self, phi: SpaceTimeField, X, T):
+        """(values, est_errors) at the rows of X and the times T, in blocks of rows.
+
+        Refuses a non-finite point (ValueError) and an exceeded error budget (ResolutionError).
+        """
+        X, T, _ = phi._args(X, T)
+        if not np.isfinite(X).all():
+            raise ValueError("convolution points must be finite")
+        values, errors = np.empty(len(X)), np.empty(len(X))
+        for i in range(0, len(X), self.rows):
+            s = slice(i, i + self.rows)
+            terms = [_terms(phi, X[s], T[s], Y, w) for Y, w, _ in self.levels]
+            weight = self.levels[0][2]
+            if self.quad.scheme == "monte_carlo":
+                values[s] = weight * terms[0].mean(axis=1)
+                errors[s] = weight * terms[0].std(axis=1) / math.sqrt(self.quad.mc_samples)
+                continue
+            values[s] = terms[0].sum(axis=1) * weight
+            errors[s] = np.abs(values[s] - terms[1].sum(axis=1) * self.levels[1][2])
+            if len(terms) > 2:
+                errors[s] += self.boundary * terms[2].max(axis=1, initial=0.0)
+        budget = self.quad.error_budget
+        if budget is not None and (errors > budget).any():
+            est = errors[np.argmax(errors > budget)]
+            raise ResolutionError(f"estimated error {est:.3e} exceeds the budget {budget:.3e}")
+        return np.maximum(0.0, values), errors
 
 
 def convolve_at(
@@ -127,44 +188,8 @@ def convolve_at(
     the standard error of the mean.  Raises :class:`ResolutionError` when an
     error budget is configured and exceeded.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    support = quad.support
-    if psi.support is not None:
-        slo, shi = psi.support.bounding_box()
-        qlo, qhi = support.bounding_box()
-        if not (np.allclose(slo, qlo) and np.allclose(shi, qhi)):
-            raise ValueError("psi support does not match the quadrature support")
-
-    def integrand(Y):
-        return phi(x[None, :] - Y, t) * psi(Y)
-
-    if quad.scheme == "tensor_grid":
-        ppa = quad.points_per_axis
-        value = _tensor_value(integrand, support, ppa)
-        coarse = _tensor_value(integrand, support, max(8, ppa // 2))
-        est = abs(value - coarse)
-        surface = _boundary_measure(support)
-        if surface > 0.0:
-            lo, hi = support.bounding_box()
-            h = float(np.max((hi - lo) / ppa))
-            pts, _ = midpoint_grid(lo, hi, max(8, ppa // 4))
-            mask = support.contains_many(pts)
-            peak = float(integrand(pts[mask]).max()) if mask.any() else 0.0
-            est += surface * h * peak
-    else:
-        rng = make_rng(quad.mc_seed)
-        lo, hi = support.bounding_box()
-        vol = float(np.prod(hi - lo))
-        pts = rng.uniform(lo, hi, size=(quad.mc_samples, support.dim))
-        vals = np.where(support.contains_many(pts), integrand(pts), 0.0)
-        value = vol * float(vals.mean())
-        est = vol * float(vals.std()) / math.sqrt(quad.mc_samples)
-
-    if quad.error_budget is not None and est > quad.error_budget:
-        raise ResolutionError(
-            f"estimated error {est:.3e} exceeds the budget {quad.error_budget:.3e}"
-        )
-    return ConvolutionResult(value=max(0.0, value), est_error=est)
+    (value,), (est,) = _Nodes(psi, quad).evaluate(phi, np.reshape(x, (1, -1)), [t])
+    return ConvolutionResult(value=float(value), est_error=float(est))
 
 
 def gauss_weierstrass_integral(
@@ -227,6 +252,7 @@ class ConvolutionField(
     ``eval_with_error`` propagates the quadrature error estimate so the
     concavity checkers can keep strictness claims above the noise floor.
     Its descriptor integrates with the default quadrature for psi's support.
+    A psi whose support does not match the quadrature's is refused at construction.
     """
 
     def __init__(self, phi: SpaceTimeField, psi: ScalarField, quad: QuadratureSpec):
@@ -236,15 +262,10 @@ class ConvolutionField(
         self.dim = phi.dim
         self.t_lo = phi.t_lo
         self.t_hi = phi.t_hi
+        self._nodes = _Nodes(psi, quad)
 
     def _eval_err(self, P, T):
-        vals = np.empty(len(P))
-        errs = np.empty(len(P))
-        for i in range(len(P)):
-            r = convolve_at(self.phi, self.psi, P[i], float(T[i]), self.quad)
-            vals[i] = r.value
-            errs[i] = r.est_error
-        return vals, errs
+        return self._nodes.evaluate(self.phi, P, T)
 
     def _eval(self, P, T):
         return self._eval_err(P, T)[0]

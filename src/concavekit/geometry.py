@@ -44,7 +44,6 @@ __all__ = [
     "Box",
     "Ball",
     "Polytope",
-    "HalfSpace",
     "ConvexCone",
     "NotRepresentableError",
     "support_of_combination",
@@ -554,23 +553,6 @@ class Polytope(ConvexBody, kind="polytope", keys={"vertices": float_array}):
 
     def __repr__(self):
         return f"Polytope({len(self.vertices)} vertices, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """Closed half-space {y : y.u <= h} with unit normal u."""
-
-    h: float
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            raise ValueError("half-space normal must be a unit vector")
-        object.__setattr__(self, "u", u)
-
-    def contains(self, y) -> bool:
-        return float(np.asarray(y, dtype=float) @ self.u) <= self.h
 
 
 class ConvexCone:

@@ -175,6 +175,12 @@ class TestConvolve:
         assert float(center[2]) == pytest.approx(0.5, abs=1e-4)
         assert float(center[3]) >= 0
 
+    @pytest.mark.parametrize("kernel", ["gw", "poisson"])
+    def test_non_finite_point_is_input_error(self, kernel, interval_body, capsys):
+        argv = ["convolve", "--kernel", kernel, "--body", interval_body, "--xgrid=nan:nan:1"]
+        assert main(argv + ["--tgrid", "1:1:1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     GOLDEN = Path(__file__).resolve().parent / "golden" / "convolve_ball.csv"
 
     def test_ball_grid_matches_golden(self, tmp_path, monkeypatch):
@@ -476,6 +482,10 @@ print("ok")
             (["maximize", "--problem", write(tmp_path / "box.json", box_problem), "--out", out], 0),
             (["maximize", "--problem", write(tmp_path / "st.json", field_problem), "--out", out], 0),
         ]
+        body = write(tmp_path / "body.json", interval)
+        for kernel in ("gw", "poisson"):
+            grid = ["--xgrid=-2:2:5", "--tgrid", "0.5:1:2", "--out", str(tmp_path / "grid.csv")]
+            commands.append((["convolve", "--kernel", kernel, "--body", body] + grid, 0))
         argv = [sys.executable, "-c", self.FOOTPRINT, json.dumps(commands)]
         run = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=120)
         assert run.returncode == 0 and run.stdout.splitlines()[-1] == "ok", run.stderr

@@ -147,6 +147,33 @@ class TestQuadratureAgreement:
         quad = QuadratureSpec.default_for(Interval(0, 1))
         with pytest.raises(ValueError):
             convolve_at(GaussWeierstrassKernel(1), psi, [0.0], 1.0, quad)
+        # a field refuses when it is built, before its first evaluation
+        with pytest.raises(ValueError, match="support"):
+            ConvolutionField(GaussWeierstrassKernel(1), psi, quad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_refused(self, bad):
+        psi = IndicatorField(Interval(-1, 1))
+        quad = QuadratureSpec.default_for(psi.support)
+        gamma = ConvolutionField(GaussWeierstrassKernel(1), psi, quad)
+        with pytest.raises(ValueError, match="finite"):
+            gamma.eval_with_error([bad], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            gamma([[0.3], [bad]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            convolve_at(PoissonKernel(1), psi, [bad], 1.0, quad)
+
+    def test_nodes_are_built_once(self, monkeypatch):
+        import concavekit.convolve as cv
+
+        ball = Ball([0.0, 0.0], 1.0)
+        quad = QuadratureSpec.default_for(ball)
+        gamma = ConvolutionField(PoissonKernel(2), IndicatorField(ball), quad)
+        calls = []
+        monkeypatch.setattr(cv, "midpoint_grid", lambda *a: calls.append(a))
+        monkeypatch.setattr(Ball, "contains_many", lambda *a, **k: calls.append(a))
+        values, errors = gamma.eval_with_error(np.zeros((5, 2)), np.linspace(0.5, 1.5, 5))
+        assert calls == [] and (values > 0).all() and (errors > 0).all()
 
     def test_error_budget(self):
         psi = IndicatorField(Interval(-1, 1))

@@ -243,13 +243,28 @@ def test_non_finite_time_is_refused(kind, t):
 
 SPACETIME_KINDS = sorted(k for k, cls in _KINDS.items() if issubclass(cls, SpaceTimeField))
 
+# every space-time sample, plus convolutions whose quadrature masks a ball
+# (the boundary term) and draws Monte Carlo points (a 3-d box)
+BATCH_SAMPLES = {
+    **{kind: SAMPLES[kind] for kind in SPACETIME_KINDS},
+    "convolution_ball": {
+        "kind": "convolution",
+        "psi": {"kind": "indicator", "body": SAMPLES["ball"]},
+    },
+    "convolution_box_3d": {
+        "kind": "convolution",
+        "kernel": "poisson",
+        "psi": {"kind": "indicator", "body": {"kind": "box", "lo": [-1, 0, -1], "hi": [1, 2, 0.5]}},
+    },
+}
+
 
 class TestSpaceTimeBatch:
     """A batch call gives each point's own value, bit for bit, and writes no time."""
 
     @staticmethod
     def _batch(kind):
-        phi = from_json(SAMPLES[kind], SpaceTimeField)
+        phi = from_json(BATCH_SAMPLES[kind], SpaceTimeField)
         m = 6
         rng = make_rng(11)
         X = rng.uniform(-1.5, 2.5, size=(m, phi.dim))
@@ -257,7 +272,7 @@ class TestSpaceTimeBatch:
         T.flags.writeable = False  # a write into the caller's times raises
         return phi, X, T
 
-    @pytest.mark.parametrize("kind", SPACETIME_KINDS)
+    @pytest.mark.parametrize("kind", sorted(BATCH_SAMPLES))
     def test_batch_matches_points(self, kind):
         phi, X, T = self._batch(kind)
         m = len(T)
@@ -272,7 +287,7 @@ class TestSpaceTimeBatch:
             assert phi(X[i], T[i]) == v
         assert np.array_equal(T, before)
 
-    @pytest.mark.parametrize("kind", SPACETIME_KINDS)
+    @pytest.mark.parametrize("kind", sorted(BATCH_SAMPLES))
     def test_one_time_for_the_batch(self, kind):
         phi, X, T = self._batch(kind)
         t = float(T[0])
@@ -285,7 +300,7 @@ class TestSpaceTimeBatch:
         assert np.array_equal(phi(X, one), values)
         assert [phi(x, t) for x in X] == values.tolist()
 
-    @pytest.mark.parametrize("kind", SPACETIME_KINDS)
+    @pytest.mark.parametrize("kind", sorted(BATCH_SAMPLES))
     def test_bad_time_in_a_batch_is_refused(self, kind):
         phi, X, T = self._batch(kind)
         m = len(T)

@@ -8,7 +8,6 @@ from concavekit.geometry import (
     Box,
     ConvexCone,
     CylinderRegion,
-    HalfSpace,
     Interval,
     NotRepresentableError,
     Polytope,
@@ -426,13 +425,6 @@ class TestPolytopeFacetPoints:
 
 
 class TestHalfSpaceAndJson:
-    def test_halfspace_normal_validation(self):
-        with pytest.raises(ValueError):
-            HalfSpace(1.0, [1.0, 1.0])
-        hs = HalfSpace(1.0, [1.0, 0.0])
-        assert hs.contains([0.5, 7.0])
-        assert not hs.contains([1.5, 0.0])
-
     def test_body_json_round_trip(self):
         bodies = [
             Interval(-1, 2),
