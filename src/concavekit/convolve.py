@@ -147,7 +147,7 @@ class _Nodes:
                 pts, cell = midpoint_grid(lo, hi, n)
                 Y = pts[support.contains_many(pts)]
                 self.levels.append((Y, psi(Y), cell))
-        self.rows = max(1, _NODE_BUDGET // max(1, len(self.levels[0][0])))
+        self.block_rows = max(1, _NODE_BUDGET // max(1, len(self.levels[0][0])))
 
     def evaluate(self, phi: SpaceTimeField, X, T):
         """(values, est_errors) at the rows of X and the times T, in blocks of rows.
@@ -158,10 +158,10 @@ class _Nodes:
         if not np.isfinite(X).all():
             raise ValueError("convolution points must be finite")
         values, errors = np.empty(len(X)), np.empty(len(X))
-        for i in range(0, len(X), self.rows):
-            s = slice(i, i + self.rows)
+        weight = self.levels[0][2]
+        for i in range(0, len(X), self.block_rows):
+            s = slice(i, i + self.block_rows)
             terms = [_terms(phi, X[s], T[s], Y, w) for Y, w, _ in self.levels]
-            weight = self.levels[0][2]
             if self.quad.scheme == "monte_carlo":
                 values[s] = weight * terms[0].mean(axis=1)
                 errors[s] = weight * terms[0].std(axis=1) / math.sqrt(self.quad.mc_samples)
