@@ -163,6 +163,12 @@ class TestQuadratureAgreement:
         with pytest.raises(ValueError, match="finite"):
             convolve_at(PoissonKernel(1), psi, [bad], 1.0, quad)
 
+    def test_point_of_another_dimension_is_refused(self):
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        quad = QuadratureSpec.default_for(box)
+        with pytest.raises(ValueError, match="shape"):
+            convolve_at(GaussWeierstrassKernel(2), IndicatorField(box), [0.5], 1.0, quad)
+
     def test_nodes_are_built_once(self, monkeypatch):
         import concavekit.convolve as cv
 
