@@ -181,6 +181,23 @@ class TestQuadratureAgreement:
         values, errors = gamma.eval_with_error(np.zeros((5, 2)), np.linspace(0.5, 1.5, 5))
         assert calls == [] and (values > 0).all() and (errors > 0).all()
 
+    def test_memory_does_not_grow_with_the_batch(self):
+        import tracemalloc
+
+        psi = IndicatorField(Interval(-1, 1))
+        quad = QuadratureSpec.default_for(psi.support)
+        gamma = ConvolutionField(GaussWeierstrassKernel(1), psi, quad)
+        peaks = []
+        for m in (1_000, 10_000):
+            X, T = np.linspace(-2.0, 2.0, m)[:, None], np.full(m, 0.5)
+            tracemalloc.start()
+            gamma.eval_with_error(X, T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # 9,000 more rows may add their inputs and outputs (a few 8-byte
+        # numbers each), not their 256 terms
+        assert peaks[1] - peaks[0] < 9_000 * 8 * 8
+
     def test_error_budget(self):
         psi = IndicatorField(Interval(-1, 1))
         quad = QuadratureSpec(support=Interval(-1, 1), points_per_axis=16, error_budget=1e-14)
