@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from concavekit.geometry import (
     SpaceTimeBox,
     UnionRegion,
     body_from_json,
+    chart_preimage,
     check_parabolic_convexity,
     coupling_core,
     interior_witness_outside,
@@ -750,3 +753,71 @@ class TestIntervalAlgebra:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             minkowski_combine(1.0, Box([0.0, 0.0], [1.0, 1.0]), 1.0, Interval(0, 1))
+
+
+def _hex(v):
+    """Exact hex of a float, or of each float in an array or list."""
+    a = np.asarray(v, dtype=float)
+    return a.item().hex() if a.ndim == 0 else [float(u).hex() for u in a]
+
+
+TIME_SCALE_ALPHAS = (0.0, 0.5, 1.0)
+
+# two disjoint unions (violations at every seed), a cone and a cylinder
+PINNED_REGIONS = {
+    "union_alpha_half": lambda: UnionRegion(
+        [CylinderRegion(Interval(-2, -1), 0.5, 2.0, 0.5),
+         CylinderRegion(Interval(1, 2), 0.5, 2.0, 0.5)]
+    ),
+    "union_alpha0": lambda: UnionRegion(
+        [time_scaled_region(Interval(-2, -1), 0.0), time_scaled_region(Interval(1, 2), 0.0)]
+    ),
+    "orthant_cone": lambda: time_scaled_region(ConvexCone.orthant(2), 0.7),
+    "ball_cylinder": lambda: CylinderRegion(Ball([0.0, 0.0], 1.0), 0.5, 2.0, 0.5),
+}
+
+
+def _time_scale_table():
+    """Region reports, chart values and coupling cores, every float as hex."""
+    regions = {}
+    for name, make in PINNED_REGIONS.items():
+        for seed in range(4):
+            rep = check_parabolic_convexity(make(), samples=1500, seed=seed).to_json()
+            if rep["witness"] is not None:
+                rep["witness"] = {k: _hex(v) for k, v in rep["witness"].items()}
+            regions[f"{name}/seed{seed}"] = rep
+    charts, cores = {}, {}
+    for alpha in TIME_SCALE_ALPHAS:
+        E = time_scaled_region(Ball([0.0, 0.0], 1.0), alpha)
+        rng = make_rng(0)
+        X, T = rng.uniform(-2, 2, (5, 2)), rng.uniform(1.5, 4.0, 5)
+        rows = []
+        for x, t in zip(X, T):
+            w = straightening_chart(E, x, t)
+            xp, tp = chart_preimage(E, w)
+            rows.append({"x": _hex(x), "t": _hex(t), "chart": _hex(w),
+                         "preimage_x": _hex(xp), "preimage_t": _hex(tp)})
+        charts[str(alpha)] = rows
+        rows = []
+        for _ in range(3):
+            x0, x1 = rng.uniform(-0.5, 0.5, (2, 2))
+            t0, t1 = rng.uniform(1.5, 4.0, 2)
+            lam = rng.uniform(0.1, 0.9)
+            c = coupling_core(Ball([0.0, 0.0], 1.0), x0, x1, t0, t1, alpha, lam)
+            rows.append({k: _hex(getattr(c, k))
+                         for k in ("f0", "f1", "scale0", "shift0", "scale1", "shift1")})
+        cores[str(alpha)] = rows
+    return {"regions": regions, "charts": charts, "cores": cores}
+
+
+class TestPinnedTimeScale:
+    GOLDEN = Path(__file__).resolve().parent / "golden" / "time_scale.json"
+
+    def test_table_matches_golden(self):
+        """Every value of tests/golden/time_scale.json, bit for bit.
+
+        After an intended change of these values, regenerate the file with
+        ``json.dumps(_time_scale_table(), indent=1, sort_keys=True)`` and
+        review the diff.
+        """
+        assert _time_scale_table() == json.loads(self.GOLDEN.read_text())
