@@ -16,6 +16,11 @@ lam (1 - lam) toward the endpoints, the strictness floor is modulated by
 4 lam (1 - lam) so that mixing weights near 0 or 1 do not produce false
 alarms.  Samples where either value is 0 satisfy the inequality trivially
 and are excluded from strictness statistics.
+
+The rays x / f(t) = const of the almost-strict check and of
+:func:`classify_equality` take f = t^alpha (log t at alpha = 0) from
+:func:`concavekit.geometry.time_factor`; forced ray partners scale by the
+ratio (t1 / t0)^alpha, whose rounding the report bits rest on.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, ParabolicRegion, SpaceTimeBox, row_norm
+from .geometry import ConvexBody, ParabolicRegion, SpaceTimeBox, row_norm, time_factor
 from .means import mean_p
 from .sampling import SamplingError, make_rng
 
@@ -44,6 +49,10 @@ __all__ = [
 PASS = "pass"
 VIOLATION = "violation"
 EQUALITY_OFF_SPEC = "equality_off_spec"
+
+_SEP_FRAC = 1e-3  # closer pairs, relative to the domain or ray scale, skip strictness
+_DIAG_FRAC = 0.1  # share of pairs forced near the diagonal
+_RAY_FRAC = 0.1  # share of space-time pairs forced onto rays
 
 
 @dataclass
@@ -76,23 +85,17 @@ class CheckConfig:
     ``domain`` is a :class:`ConvexBody` for spatial checks, or a
     :class:`SpaceTimeBox` / :class:`ParabolicRegion` for space-time checks.
     Tolerances are relative: the plain-inequality slack is ``tol`` times the
-    local value scale, strictness requires margins above ``eps_strict`` (at
-    lam = 1/2) and equality is declared below ``eps_eq``.
+    local value scale, and strictness requires margins above ``eps_strict``
+    (at lam = 1/2).
     """
 
     samples: int = 2000
     seed: int = 0
     eps_strict: float = 1e-7
-    eps_eq: float = 1e-8
     tol: float = 1e-9
-    sep_frac: float = 1e-3
-    diag_frac: float = 0.1
-    ray_frac: float = 0.1
     domain: object = None
 
     def __post_init__(self):
-        if not self.eps_eq < self.eps_strict:
-            raise ValueError("requires eps_eq < eps_strict")
         if self.samples < 1:
             raise ValueError("samples must be positive")
 
@@ -134,11 +137,11 @@ def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
     viol = margin < -(cfg.tol * scale + 3.0 * noise)
     strict_fail = np.zeros_like(viol)
     if strict:
-        mult = 4.0 * lam * (1.0 - lam) * np.clip(sep_rel, cfg.sep_frac, 1.0) ** 2
+        mult = 4.0 * lam * (1.0 - lam) * np.clip(sep_rel, _SEP_FRAC, 1.0) ** 2
         floor = cfg.eps_strict * mult
         thin = positive & ~trivial & (margin <= floor * scale + 3.0 * noise)
         zero_eq = (f0 == 0) & (f1 == 0) & (fl == 0)
-        strict_fail = (sep_rel >= cfg.sep_frac) & (thin | zero_eq)
+        strict_fail = (sep_rel >= _SEP_FRAC) & (thin | zero_eq)
 
     if viol.any():
         verdict, i = VIOLATION, int(np.argmax(viol))
@@ -176,7 +179,7 @@ def _sample_pairs_body(f, cfg: CheckConfig):
     x0 = body.sample(rng, n)
     x1 = body.sample(rng, n)
     # force a fraction of near-diagonal pairs to probe the equality edge
-    k = int(cfg.diag_frac * n)
+    k = int(_DIAG_FRAC * n)
     if k:
         delta = 1e-4 * body.diameter() * rng.normal(size=(k, body.dim))
         cand = x0[:k] + delta
@@ -194,7 +197,7 @@ def check_p_concavity(
     Evaluates f(x_lam) - M_p(f(x0), f(x1); lam) on random pairs.  A margin
     below -tol (relative) is a violation.  With ``strict`` the margin must
     also clear the strictness floor whenever |x0 - x1| exceeds
-    ``sep_frac * diameter`` and both endpoint values are positive; a
+    ``_SEP_FRAC * diameter`` and both endpoint values are positive; a
     too-small margin there yields the ``equality_off_spec`` verdict.
     """
     body, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
@@ -263,12 +266,6 @@ def check_quasi_concavity_superlevel(f, cfg: CheckConfig) -> ConcavityReport:
     )
 
 
-def _ray_positions(X, T, alpha):
-    """Normalized positions x / t^alpha (x / log t at alpha = 0)."""
-    f = np.log(T) if alpha == 0.0 else T**alpha
-    return X / f[:, None]
-
-
 def _sample_pairs_spacetime(domain, cfg: CheckConfig):
     rng = make_rng(cfg.seed)
     n = cfg.samples
@@ -276,7 +273,7 @@ def _sample_pairs_spacetime(domain, cfg: CheckConfig):
     X1, T1 = domain.sample(rng, n)
     lam = rng.uniform(0.0, 1.0, size=n)
 
-    k = int(cfg.diag_frac * n)
+    k = int(_DIAG_FRAC * n)
     if k:
         X1[:k] = X0[:k]
         T1[:k] = T0[:k] * (1 + 1e-5 * rng.normal(size=k))
@@ -284,10 +281,10 @@ def _sample_pairs_spacetime(domain, cfg: CheckConfig):
     return X0, T0, X1, T1, lam
 
 
-def _force_rays(X0, T0, X1, T1, alpha, domain, cfg):
+def _force_rays(X0, T0, X1, T1, alpha, domain):
     """Overwrite a fraction of pairs with exactly ray-aligned partners."""
     n = len(T0)
-    k = int(cfg.ray_frac * n)
+    k = int(_RAY_FRAC * n)
     if k == 0:
         return
     sl = slice(n - k, n)
@@ -309,8 +306,9 @@ def check_parabolic_p_concavity(
 
     - ``plain``: inequality only.
     - ``strict``: positive margin for every separated pair.
-    - ``almost_strict``: positive margin only off the rays x/t^alpha = const
-      (x / log t at alpha = 0); equality is tolerated on rays.
+    - ``almost_strict``: positive margin only off the rays x / f(t) = const,
+      f = :func:`~concavekit.geometry.time_factor`; equality is tolerated on
+      rays.
 
     Evaluation noise (for quadrature-backed fields) enters the thresholds as
     three times the summed error bounds of the three evaluations, so
@@ -328,7 +326,7 @@ def check_parabolic_p_concavity(
         # probe the equality set directly; random pairs almost never land
         # on a ray, so without this a strict check of an almost-strict
         # field would pass or fail by sampling luck
-        _force_rays(X0, T0, X1, T1, alpha, domain, cfg)
+        _force_rays(X0, T0, X1, T1, alpha, domain)
 
     t_comb = mean_p(alpha, T0, T1, lam)
     x_comb = (1 - lam)[:, None] * X0 + lam[:, None] * X1
@@ -336,8 +334,8 @@ def check_parabolic_p_concavity(
         # equality lives on rays, and the margin vanishes with the squared
         # distance from the ray set, so the residual replaces the spatial
         # separation in both the gate and the floor modulation
-        r0 = _ray_positions(X0, T0, alpha)
-        r1 = _ray_positions(X1, T1, alpha)
+        r0 = X0 / time_factor(T0, alpha)[:, None]
+        r1 = X1 / time_factor(T1, alpha)[:, None]
         ray_scale = 1.0 + np.maximum(row_norm(r0), row_norm(r1))
         sep_rel = row_norm(r0 - r1) / ray_scale
     else:
@@ -380,17 +378,16 @@ def classify_equality(
 ) -> EqualityClassification:
     """Diagnose one pair: is it ray-aligned, and is the inequality an equality?
 
-    The ray condition is x0/t0^alpha = x1/t1^alpha (with log t in place of
-    t^alpha at alpha = 0, times > 1).  Equality means the two sides agree to
+    The ray condition is x0 / f(t0) = x1 / f(t1), with f from
+    :func:`~concavekit.geometry.time_factor` (which refuses times <= 1 at
+    alpha = 0).  Equality means the two sides agree to
     ``eps_eq`` relative.  At lam in {0, 1} the two sides coincide for finite
     p by the endpoint identity.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    if alpha == 0.0 and (t0 <= 1 or t1 <= 1):
-        raise ValueError("alpha = 0 classification needs times > 1")
-    r0 = _ray_positions(x0[None, :], np.array([t0]), alpha)[0]
-    r1 = _ray_positions(x1[None, :], np.array([t1]), alpha)[0]
+    r0 = x0 / time_factor(t0, alpha)
+    r1 = x1 / time_factor(t1, alpha)
     residual = float(np.linalg.norm(r0 - r1))
     on_ray = residual <= ray_tol * (
         1.0 + max(np.linalg.norm(r0), np.linalg.norm(r1))

@@ -286,6 +286,11 @@ class TestClassifyEquality:
         c = classify_equality(gw, 0.5, -1.0, [0.0], 1.0, [2.0], 1.0, 0.5, eps_eq=1e-12)
         assert c.labels == ("off_ray", "strict")
 
+    def test_alpha_zero_needs_times_above_one(self):
+        phi0 = conjugate0(GaussWeierstrassKernel(1))
+        with pytest.raises(ValueError):
+            classify_equality(phi0, 0.0, -1.0, [0.5], 1.0, [1.0], 2.0, 0.5)
+
     def test_endpoint_weight_is_equality(self):
         gw = GaussWeierstrassKernel(1)
         c = classify_equality(gw, 0.5, -1.0, [0.0], 1.0, [2.0], 1.0, 0.0, eps_eq=1e-12)
@@ -293,10 +298,6 @@ class TestClassifyEquality:
 
 
 class TestConfigValidation:
-    def test_eps_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            CheckConfig(eps_strict=1e-9, eps_eq=1e-7)
-
     def test_report_json_shape(self):
         f = GaussWeierstrassSlice(1, 1.0)
         cfg = CheckConfig(samples=300, seed=1, domain=Interval(-2, 2))

@@ -25,6 +25,7 @@ from concavekit.geometry import (
     rowwise,
     straightening_chart,
     support_of_combination,
+    time_factor,
     time_scaled_region,
 )
 from concavekit.geometry import _MEMBERSHIP_TOL
@@ -352,9 +353,7 @@ class TestRegions:
     )
     def test_convex_constructions_pass(self, region):
         rep = check_parabolic_convexity(region, samples=600, seed=21)
-        assert rep.verdict == "pass"
-        if rep.chart_verdict is not None:
-            assert rep.chart_verdict == rep.direct_verdict == "pass"
+        assert rep.verdict == rep.chart_verdict == rep.direct_verdict == "pass"
 
     def test_disjoint_union_fails_with_witness(self):
         u = UnionRegion(
@@ -808,6 +807,69 @@ def _time_scale_table():
                          for k in ("f0", "f1", "scale0", "shift0", "scale1", "shift1")})
         cores[str(alpha)] = rows
     return {"regions": regions, "charts": charts, "cores": cores}
+
+
+class TestTimeFactor:
+    def test_values(self):
+        T = np.array([1.5, 2.0, 4.0])
+        assert _bits(time_factor(T, 0.0)).tolist() == _bits(np.log(T)).tolist()
+        assert time_factor(T, 0.5) == pytest.approx(np.sqrt(T), rel=1e-15)
+        assert time_factor(T, 1.0).tolist() == T.tolist()
+        assert time_factor(4.0, -1.0) == 0.25
+
+    @pytest.mark.parametrize(
+        "alpha, bad",
+        [(0.0, 1.0), (0.0, 0.5), (0.0, -2.0), (0.5, 0.0), (1.0, -1.0), (0.5, math.nan)],
+    )
+    def test_refuses_times_outside_the_domain(self, alpha, bad):
+        with pytest.raises(ValueError, match="needs times >"):
+            time_factor(bad, alpha)
+        with pytest.raises(ValueError, match="needs times >"):
+            time_factor([2.0, bad, 3.0], alpha)
+
+    def test_hat_region_excludes_those_times(self):
+        # membership says no instead of refusing
+        E = time_scaled_region(Interval(-1, 1), 0.0)
+        assert E.contains_many(np.zeros((3, 1)), [0.5, 1.0, 2.0]).tolist() == [False, False, True]
+
+    def test_region_needs_times_in_the_domain(self):
+        with pytest.raises(ValueError):
+            time_scaled_region(Interval(-1, 1), 0.0, t_range=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            CylinderRegion(Interval(-1, 1), 0.0, 2.0, 0.5)
+
+
+class TestChartBatch:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0, -0.3])
+    def test_batch_equals_points(self, alpha):
+        """Rows through the chart and its preimage give each point's bits."""
+        E = time_scaled_region(Ball([0.0, 0.0], 1.0), alpha)
+        rng = make_rng(5)
+        X, T = rng.uniform(-2, 2, (300, 2)), rng.uniform(1.1, 6.0, 300)
+        W = straightening_chart(E, X, T)
+        assert W.shape == (300, 3)
+        one = np.array([straightening_chart(E, x, t) for x, t in zip(X, T)])
+        assert (_bits(W) == _bits(one)).all()
+        Xp, Tp = chart_preimage(E, W)
+        assert Xp.shape == (300, 2) and Tp.shape == (300,)
+        pre = [chart_preimage(E, w) for w in W]
+        assert (_bits(Xp) == _bits([p[0] for p in pre])).all()
+        assert (_bits(Tp) == _bits([p[1] for p in pre])).all()
+        assert Xp == pytest.approx(X, rel=1e-12) and Tp == pytest.approx(T, rel=1e-12)
+
+    def test_one_point_keeps_its_shapes(self):
+        E = time_scaled_region(Interval(0, 1), 0.5)
+        w = straightening_chart(E, [2.0], 4.0)
+        assert w.tolist() == [1.0, 0.5]
+        x, t = chart_preimage(E, w)
+        assert x.tolist() == [2.0] and np.ndim(t) == 0 and t == 4.0
+
+    def test_refuses_a_batch_with_one_bad_row(self):
+        E = time_scaled_region(Interval(0, 1), 0.0)
+        with pytest.raises(ValueError):
+            straightening_chart(E, np.ones((3, 1)), [2.0, 0.9, 3.0])
+        with pytest.raises(ValueError):
+            chart_preimage(E, [[1.0, 0.5], [1.0, 0.0]])
 
 
 class TestPinnedTimeScale:
