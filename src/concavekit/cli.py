@@ -8,7 +8,7 @@ for the unique-maximum solver.  Every JSON report embeds a run manifest
 for a fixed manifest apart from the recorded wall time.
 
 Exit codes: 0 success/pass, 1 violation or certificate failure, 2 input
-error.
+error or a refusal of the library (no usable samples, no convergence).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__
 from .means import as_exponent, exponent_str, holder_exponent, mean_p
+from .optimize import ConvergenceError
+from .sampling import SamplingError
 
 __all__ = ["main"]
 
@@ -145,18 +147,18 @@ def cmd_convolve(args) -> int:
     if (t_axis <= 0).any():
         raise ValueError("--tgrid must be positive")
 
+    # one batch: t runs slowest, then x0, x1, ...
+    T, *cols = (m.reshape(-1) for m in np.meshgrid(t_axis, *x_axes, indexing="ij"))
+    P = np.stack(cols, axis=1)
+    values, errors = field.eval_with_error(P, T)
+
     manifest = _manifest(
         "convolve",
         {"kernel": args.kernel, "body": args.body, "xgrid": args.xgrid, "tgrid": args.tgrid},
     )
     manifest["wall_time_s"] = round(time.monotonic() - t0, 6)
-
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
     lines.append(",".join([f"x{i}" for i in range(body.dim)] + ["t", "value", "est_error"]))
-    # one batch: t runs slowest, then x0, x1, ...
-    T, *cols = (m.reshape(-1) for m in np.meshgrid(t_axis, *x_axes, indexing="ij"))
-    P = np.stack(cols, axis=1)
-    values, errors = field.eval_with_error(P, T)
     for x, t, v, e in zip(P.tolist(), T.tolist(), values.tolist(), errors.tolist()):
         lines.append(",".join(map(repr, [*x, t, v, e])))
     text = "\n".join(lines) + "\n"
@@ -286,7 +288,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError,
+            SamplingError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,18 @@ class TestCheck:
         bad.write_text("{oops")
         assert main(["check", "concavity", "--field", str(bad), "--p", "1"]) == 2
 
+    def test_sampling_refusal_is_input_error(self, tmp_path, capsys):
+        # the indicator of [0, 1] vanishes on the domain [2, 3], so a strict
+        # check finds no pair with positive values and refuses
+        field = write(
+            tmp_path / "ind.json",
+            {"kind": "indicator", "body": {"kind": "interval", "a": 0, "b": 1}},
+        )
+        dom = write(tmp_path / "far.json", {"kind": "interval", "a": 2, "b": 3})
+        argv = ["check", "concavity", "--field", field, "--p", "1", "--mode", "strict"]
+        assert main(argv + ["--samples", "50", "--domain", dom]) == 2
+        assert capsys.readouterr().err.startswith("error: strictness demands positive values")
+
     def test_determinism_bytewise(self, gw_field, st_domain, tmp_path, capsys):
         args = [
             "check",
@@ -183,6 +196,21 @@ class TestConvolve:
 
     GOLDEN = Path(__file__).resolve().parent / "golden" / "convolve_ball.csv"
 
+    def test_wall_time_covers_the_evaluation(self, interval_body, monkeypatch, capsys):
+        from concavekit.convolve import ConvolutionField
+
+        evaluate = ConvolutionField.eval_with_error
+
+        def slow(self, x, t):
+            time.sleep(0.2)
+            return evaluate(self, x, t)
+
+        monkeypatch.setattr(ConvolutionField, "eval_with_error", slow)
+        argv = ["convolve", "--kernel", "gw", "--body", interval_body, "--xgrid=-1:1:3"]
+        assert main(argv + ["--tgrid", "1:1:1"]) == 0
+        manifest = json.loads(capsys.readouterr().out.split("\n")[0].removeprefix("# manifest: "))
+        assert manifest["wall_time_s"] >= 0.2
+
     def test_ball_grid_matches_golden(self, tmp_path, monkeypatch):
         """A 2-d ball grid prints the bytes of tests/golden/convolve_ball.csv.
 
@@ -237,6 +265,21 @@ class TestMaximize:
         assert main(["regiomontanus", "--a", "1", "--b", "4", "--constraint", cons]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert abs(rep["argmax"][1] - 2.0) < 1e-6
+
+    def test_convergence_refusal_is_input_error(self, tmp_path, monkeypatch, capsys):
+        from concavekit import optimize
+
+        def refuse(problem):
+            raise optimize.ConvergenceError("no start converged")
+
+        monkeypatch.setattr(optimize, "maximize", refuse)
+        prob = write(
+            tmp_path / "prob.json",
+            {"objective": {"kind": "oracle_p", "a": 1, "b": 4},
+             "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]}},
+        )
+        assert main(["maximize", "--problem", prob]) == 2
+        assert capsys.readouterr().err == "error: no start converged\n"
 
     def test_degenerate_picture_is_input_error(self, tmp_path):
         cons = write(tmp_path / "c.json", {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]})
