@@ -1012,8 +1012,9 @@ class UnionRegion(ParabolicRegion):
         return out
 
 
-# lifts a convex set A to the region {(x, t) : x / f(t) in A}
-time_scaled_region = HatRegion
+def time_scaled_region(A, alpha: float, t_range=None) -> HatRegion:
+    """Lift a convex set A to the region {(x, t) : x / f(t) in A} (a :class:`HatRegion`)."""
+    return HatRegion(A, alpha, t_range=t_range)
 
 
 def straightening_chart(E: ParabolicRegion, x, t) -> np.ndarray:
