@@ -288,8 +288,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError,
-            SamplingError, ConvergenceError) as exc:
+    except (ValueError, OSError, SamplingError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,15 +7,17 @@ evaluates the defining inequality
 
 and reports the worst normalized margin together with a witness.  A checker
 can only falsify or accumulate evidence; a "pass" is a statement about the
-sampled pairs, never a proof.
+sampled pairs, never a proof.  Quasi-concavity (convex super-level sets) is
+the p = -inf case, M_-inf = min, and goes through the same verdict path.
 
-Tolerances are relative to the local value scale.  Strictness additionally
-demands a positive margin whenever the endpoints are separated; since the
-attainable margin of a strictly concave function shrinks linearly in
-lam (1 - lam) toward the endpoints, the strictness floor is modulated by
-4 lam (1 - lam) so that mixing weights near 0 or 1 do not produce false
-alarms.  Samples where either value is 0 satisfy the inequality trivially
-and are excluded from strictness statistics.
+Tolerances are fixed and relative to the local value scale: a margin below
+``-_TOL`` (1e-9) times that scale is a violation, and strictness demands a
+margin above ``_EPS_STRICT`` (1e-7) times it whenever the endpoints are
+separated.  Since the attainable margin of a strictly concave function
+shrinks linearly in lam (1 - lam) toward the endpoints, the strictness
+floor is modulated by 4 lam (1 - lam) so that mixing weights near 0 or 1 do
+not produce false alarms.  Samples where either value is 0 satisfy the
+inequality trivially and are excluded from strictness statistics.
 
 The rays x / f(t) = const of the almost-strict check and of
 :func:`classify_equality` take f = t^alpha (log t at alpha = 0) from
@@ -50,6 +52,9 @@ PASS = "pass"
 VIOLATION = "violation"
 EQUALITY_OFF_SPEC = "equality_off_spec"
 
+_TOL = 1e-9  # violation slack, relative to the value scale
+_EPS_STRICT = 1e-7  # strictness floor at full separation and lam = 1/2, relative
+_RAY_TOL = 1e-9  # classify_equality's ray residual, relative to the ray scale
 _SEP_FRAC = 1e-3  # closer pairs, relative to the domain or ray scale, skip strictness
 _DIAG_FRAC = 0.1  # share of pairs forced near the diagonal
 _RAY_FRAC = 0.1  # share of space-time pairs forced onto rays
@@ -80,19 +85,17 @@ class ConcavityReport:
 
 @dataclass
 class CheckConfig:
-    """Sampling plan and tolerance budget for the concavity checkers.
+    """Sampling plan for the concavity checkers.
 
     ``domain`` is a :class:`ConvexBody` for spatial checks, or a
     :class:`SpaceTimeBox` / :class:`ParabolicRegion` for space-time checks.
-    Tolerances are relative: the plain-inequality slack is ``tol`` times the
-    local value scale, and strictness requires margins above ``eps_strict``
-    (at lam = 1/2).
+    The tolerances are module constants: the plain-inequality slack is
+    ``_TOL`` (1e-9) times the local value scale, and strictness requires
+    margins above ``_EPS_STRICT`` (1e-7) times it (at lam = 1/2).
     """
 
     samples: int = 2000
     seed: int = 0
-    eps_strict: float = 1e-7
-    tol: float = 1e-9
     domain: object = None
 
     def __post_init__(self):
@@ -110,7 +113,7 @@ def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
 
     The strictness floor of a C^2 strictly concave function vanishes like
     lam (1 - lam) times the squared separation, so the required margin is
-    eps_strict * scale at the reference point (full separation, lam = 1/2)
+    _EPS_STRICT * scale at the reference point (full separation, lam = 1/2)
     and scales down with 4 lam (1 - lam) * sep_rel^2 elsewhere; a flat floor
     would flag genuinely strict fields just past the separation gate.
 
@@ -134,11 +137,11 @@ def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
         )
 
     rel = np.where(trivial, 0.0, margin / np.where(trivial, 1.0, scale))
-    viol = margin < -(cfg.tol * scale + 3.0 * noise)
+    viol = margin < -(_TOL * scale + 3.0 * noise)
     strict_fail = np.zeros_like(viol)
     if strict:
         mult = 4.0 * lam * (1.0 - lam) * np.clip(sep_rel, _SEP_FRAC, 1.0) ** 2
-        floor = cfg.eps_strict * mult
+        floor = _EPS_STRICT * mult
         thin = positive & ~trivial & (margin <= floor * scale + 3.0 * noise)
         zero_eq = (f0 == 0) & (f1 == 0) & (fl == 0)
         strict_fail = (sep_rel >= _SEP_FRAC) & (thin | zero_eq)
@@ -163,7 +166,7 @@ def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
         worst_margin=0.0 if i is None else float(rel[i]),
         witness=witness,
         samples_used=cfg.samples,
-        tolerance=cfg.tol,
+        tolerance=_TOL,
         seed=cfg.seed,
         mode=mode,
     )
@@ -195,7 +198,7 @@ def check_p_concavity(
     """Sampled check that f is (strictly) p-concave on the configured body.
 
     Evaluates f(x_lam) - M_p(f(x0), f(x1); lam) on random pairs.  A margin
-    below -tol (relative) is a violation.  With ``strict`` the margin must
+    below -_TOL (relative) is a violation.  With ``strict`` the margin must
     also clear the strictness floor whenever |x0 - x1| exceeds
     ``_SEP_FRAC * diameter`` and both endpoint values are positive; a
     too-small margin there yields the ``equality_off_spec`` verdict.
@@ -211,59 +214,12 @@ def check_p_concavity(
 
 
 def check_quasi_concavity_superlevel(f, cfg: CheckConfig) -> ConcavityReport:
-    """Sampled super-level-set convexity check (the quasi-concavity picture).
+    """Sampled quasi-concavity check: every super-level set of f is convex.
 
-    For sampled levels a and pairs with values above a, the combined point
-    must stay above a.  Cross-checked against the equivalent -inf-mean
-    margin formulation on the same pairs; the verdicts must agree.
+    That is f(x_lam) >= min(f(x0), f(x1)), the p = -inf case of
+    :func:`check_p_concavity`, whose pairs, verdict and report it returns.
     """
-    _, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
-    f0 = f(x0)
-    f1 = f(x1)
-    fl = f(xl)
-
-    # the sampled pair (x0, x1) lies in the super-level set {f > a} for every
-    # level a below min(f0, f1); membership of the combined point at such a
-    # level is exactly fl >= min(f0, f1) up to tolerance
-    lo = np.minimum(f0, f1)
-    scale = np.maximum(fl, lo)
-    margin = fl - lo
-    bad_margin = margin < -cfg.tol * np.where(scale == 0, 1.0, scale)
-
-    levels = np.quantile(lo[lo > 0], [0.2, 0.5, 0.8]) if (lo > 0).any() else []
-    bad_level = np.zeros(len(x0), dtype=bool)
-    for a in np.atleast_1d(levels):
-        inset = lo > a
-        bad_level |= inset & ~(fl > a - cfg.tol * max(a, 1.0))
-    # the finitely many levels can only see a subset of what the margin
-    # formulation sees; a level violation without a negative margin would
-    # mean the two formulations disagree
-    if (bad_level & ~bad_margin).any():
-        raise AssertionError("super-level and margin formulations disagree")
-
-    bad = bad_margin | bad_level
-    verdict = VIOLATION if bad.any() else PASS
-    witness = None
-    if bad.any():
-        i = int(np.argmax(bad))
-        witness = {
-            "x0": x0[i].tolist(),
-            "x1": x1[i].tolist(),
-            "lambda": float(lam[i]),
-            "f0": float(f0[i]),
-            "f1": float(f1[i]),
-            "f_comb": float(fl[i]),
-        }
-    rel = np.where(scale == 0, 0.0, margin / np.where(scale == 0, 1.0, scale))
-    return ConcavityReport(
-        verdict=verdict,
-        worst_margin=float(rel.min()),
-        witness=witness,
-        samples_used=cfg.samples,
-        tolerance=cfg.tol,
-        seed=cfg.seed,
-        mode="superlevel",
-    )
+    return check_p_concavity(f, -np.inf, cfg)
 
 
 def _sample_pairs_spacetime(domain, cfg: CheckConfig):
@@ -374,7 +330,6 @@ def classify_equality(
     t1,
     lam: float,
     eps_eq: float = 1e-9,
-    ray_tol: float = 1e-9,
 ) -> EqualityClassification:
     """Diagnose one pair: is it ray-aligned, and is the inequality an equality?
 
@@ -389,7 +344,7 @@ def classify_equality(
     r0 = x0 / time_factor(t0, alpha)
     r1 = x1 / time_factor(t1, alpha)
     residual = float(np.linalg.norm(r0 - r1))
-    on_ray = residual <= ray_tol * (
+    on_ray = residual <= _RAY_TOL * (
         1.0 + max(np.linalg.norm(r0), np.linalg.norm(r1))
     )
 

@@ -66,14 +66,14 @@ class QuadratureSpec:
 
     ``scheme`` is "tensor_grid" (midpoint rule, >= 8 points per axis) or
     "monte_carlo".  The default resolution is 256 points per axis in 1-d and
-    96 in 2-d; Monte Carlo is the default beyond 2-d.
+    96 in 2-d; Monte Carlo is the default beyond 2-d, with ``mc_samples``
+    points drawn from the stream of seed 0.
     """
 
     support: ConvexBody
     scheme: str = "tensor_grid"
     points_per_axis: int = 0
     mc_samples: int = 200_000
-    mc_seed: int = 0
     error_budget: float | None = None
 
     def __post_init__(self):
@@ -134,7 +134,7 @@ class _Nodes:
             if not (np.allclose(slo, lo) and np.allclose(shi, hi)):
                 raise ValueError("psi support does not match the quadrature support")
         if quad.scheme == "monte_carlo":
-            pts = make_rng(quad.mc_seed).uniform(lo, hi, size=(quad.mc_samples, support.dim))
+            pts = make_rng(0).uniform(lo, hi, size=(quad.mc_samples, support.dim))
             w = np.where(support.contains_many(pts), psi(pts), 0.0)
             self.levels = [(pts, w, float(np.prod(hi - lo)))]
         else:

@@ -323,15 +323,14 @@ class ConvexBody(Descriptor):
                 return out
         raise SamplingError(f"could not draw {k} points from {self!r}")
 
-    def is_interior(self, x, delta: float | None = None) -> bool:
-        """Interior test with margin delta (default 1e-9 * diameter).
+    def is_interior(self, x) -> bool:
+        """Interior test with margin delta = 1e-9 * diameter.
 
         Probes the 2n axis neighbours of x, which is exact for boxes and a
         sound necessary test for the other shapes at this margin.
         """
         x = np.asarray(x, dtype=float)
-        if delta is None:
-            delta = 1e-9 * self.diameter()
+        delta = 1e-9 * self.diameter()
         probes = np.concatenate([x + delta * np.eye(self.dim), x - delta * np.eye(self.dim)])
         return bool(self.contains_many(probes, tol=0.0).all())
 

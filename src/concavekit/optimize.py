@@ -392,19 +392,21 @@ def problem_from_json(data: dict) -> MaxProblem:
     "scalar_field", "field": ...}`` it must also be a field of that type.
     """
     check_keys(data, ("objective", "feasible", "tolerance", "multistart", "seed"), "problem")
-    spec = data["objective"]
+    objective = read_key(data, "objective", _objective_from_json, "problem")
+    feasible = read_key(data, "feasible", feasible_from_json, "problem")
+    decoders = {"tolerance": number, "multistart": integer, "seed": integer}
+    opts = {k: read_key(data, k, dec, "problem") for k, dec in decoders.items() if k in data}
+    return MaxProblem(objective=objective, feasible=feasible, **opts)
+
+
+def _objective_from_json(spec):
+    """A field descriptor, or one wrapped as ``{"kind": ..., "field": ...}``."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind in ("spacetime_field", "scalar_field"):
         check_keys(spec, ("kind", "field"), kind)
         expected = SpaceTimeField if kind == "spacetime_field" else ScalarField
-        objective = from_json(spec["field"], expected)
-    else:
-        objective = field_from_json(spec)
-
-    feasible = feasible_from_json(data["feasible"])
-    decoders = {"tolerance": number, "multistart": integer, "seed": integer}
-    opts = {k: read_key(data, k, dec, "problem") for k, dec in decoders.items() if k in data}
-    return MaxProblem(objective=objective, feasible=feasible, **opts)
+        return read_key(spec, "field", expected, kind)
+    return field_from_json(spec)
 
 
 def feasible_from_json(fspec: dict):

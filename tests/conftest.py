@@ -1,0 +1,12 @@
+def pytest_report_header(config):
+    """Versions and SIMD paths behind the float.hex pins.
+
+    numpy's exp and pow round differently on AVX-512 and on narrower paths,
+    so a pinned bit that fails on one runner shows its likely cause here.
+    """
+    import numpy as np
+    import scipy
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    avx512 = "on" if __cpu_features__.get("AVX512F") else "off"
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, AVX512F {avx512}"

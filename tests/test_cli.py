@@ -336,6 +336,20 @@ class TestDescriptors:
         assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 2
         assert "'tolerence'" in capsys.readouterr().err
 
+    def test_missing_objective_names_problem_and_key(self, tmp_path, capsys):
+        prob = {"feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]}}
+        assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 2
+        assert capsys.readouterr().err == "error: a problem descriptor needs the key 'objective'\n"
+
+    def test_wrapper_without_field_names_wrapper_and_key(self, tmp_path, capsys):
+        prob = {
+            "objective": {"kind": "spacetime_field"},
+            "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]},
+        }
+        assert main(["maximize", "--problem", write(tmp_path / "prob.json", prob)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: problem.objective: a spacetime_field descriptor needs the key 'field'\n"
+
     INTERVAL = {"kind": "interval", "a": 0, "b": 1}
     PROBLEM = {
         "objective": {"kind": "oracle_p", "a": 1, "b": 4},

@@ -12,6 +12,7 @@ from concavekit.concavity import (
     check_parabolic_p_concavity,
     check_quasi_concavity_superlevel,
     classify_equality,
+    _sample_pairs_body,
 )
 from concavekit.convolve import ConvolutionField, QuadratureSpec
 from concavekit.fields import (
@@ -102,7 +103,7 @@ class TestSpatialChecks:
         w = rep.witness
         comb = (1 - w["lambda"]) * np.array(w["x0"]) + w["lambda"] * np.array(w["x1"])
         margin = f(comb) - mean_p(-INF, f(np.array(w["x0"])), f(np.array(w["x1"])), w["lambda"])
-        assert margin < -cfg.tol
+        assert margin < -rep.tolerance
 
     def test_strictness_without_positive_samples_errors(self):
         f = IndicatorField(Interval(10, 11))  # zero everywhere on the domain
@@ -156,6 +157,36 @@ class TestSuperLevel:
         f = ConstantField(2.0, 1)
         cfg = CheckConfig(samples=500, seed=11, domain=Interval(-1, 1))
         assert check_quasi_concavity_superlevel(f, cfg).verdict == PASS
+
+    @pytest.mark.parametrize(
+        "f, cfg",
+        [
+            (radialize(RadialProfile(lambda r: np.exp(-r), strictly_decreasing=True), 2),
+             CheckConfig(samples=2000, seed=9, domain=Box([-2, -2], [2, 2]))),
+            (_two_bumps(), CheckConfig(samples=2000, seed=10, domain=Interval(-2, 2))),
+            (ConstantField(2.0, 1), CheckConfig(samples=500, seed=11, domain=Interval(-1, 1))),
+            # demo 04's radial profile
+            (radialize(RadialProfile(lambda r: np.exp(-r), strictly_decreasing=True), 2),
+             CheckConfig(samples=3000, seed=13, domain=Box([-2, -2], [2, 2]))),
+        ],
+    )
+    def test_level_sets_agree_with_min_margin(self, f, cfg):
+        # the super-level picture on the checker's own pairs: at levels a at
+        # the 0.2, 0.5 and 0.8 quantiles of min(f0, f1), a pair above a must
+        # keep its combined point above a; finitely many levels see only a
+        # subset of the pairs whose min-margin is negative
+        rep = check_quasi_concavity_superlevel(f, cfg)
+        _, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
+        f0, f1, fl = f(x0), f(x1), f(xl)
+        lo = np.minimum(f0, f1)
+        bad_level = np.zeros(len(lo), dtype=bool)
+        for a in np.quantile(lo[lo > 0], [0.2, 0.5, 0.8]):
+            bad_level |= (lo > a) & ~(fl > a - rep.tolerance * max(a, 1.0))
+        rhs = mean_p(-INF, f0, f1, lam)
+        bad_margin = fl - rhs < -rep.tolerance * np.maximum(fl, rhs)
+        assert not (bad_level & ~bad_margin).any()
+        assert rep.verdict == (VIOLATION if bad_level.any() else PASS)
+        assert rep.verdict == (VIOLATION if bad_margin.any() else PASS)
 
 
 class TestParabolicChecks:
