@@ -546,3 +546,96 @@ print("ok")
         argv = [sys.executable, "-c", self.FOOTPRINT, json.dumps(commands)]
         run = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=120)
         assert run.returncode == 0 and run.stdout.splitlines()[-1] == "ok", run.stderr
+
+
+BALL_TENT = {"kind": "tent", "body": {"kind": "ball", "center": [0.25, -0.5], "radius": 1.0}}
+ST_DOMAIN = {"body": {"kind": "interval", "a": -2, "b": 2}, "t_lo": 0.5, "t_hi": 4.0}
+INDICATORS = {
+    "f0": {"kind": "indicator", "body": {"kind": "interval", "a": 0, "b": 1}},
+    "f1": {"kind": "indicator", "body": {"kind": "interval", "a": 2, "b": 4}},
+}
+TENTS = {
+    "f0": {"kind": "tent", "body": {"kind": "box", "lo": [0, 0], "hi": [1, 2]}},
+    "f1": {"kind": "tent", "body": {"kind": "ball", "center": [2, 1], "radius": 1}, "height": 2},
+}
+ORACLE_P = {"kind": "oracle_p", "a": 1, "b": 4}
+
+# name -> (input files, argv, exit code); argv names the files by their keys
+GOLDEN_REPORTS = {
+    "check_parabolic_gw": (
+        {"field": {"kind": "gauss_weierstrass", "n": 1}, "dom": ST_DOMAIN},
+        ["check", "parabolic", "--field", "field", "--alpha", "0.5", "--p", "-1"]
+        + ["--mode", "almost-strict", "--samples", "1500", "--seed", "3", "--domain", "dom"],
+        0,
+    ),
+    "check_concavity_tent_plain": (
+        {"field": BALL_TENT},
+        ["check", "concavity", "--field", "field", "--p", "1", "--samples", "600", "--seed", "5"],
+        0,
+    ),
+    "check_concavity_tent_strict": (
+        {"field": BALL_TENT},
+        ["check", "concavity", "--field", "field", "--p", "2", "--mode", "strict"]
+        + ["--samples", "600", "--seed", "5"],
+        1,
+    ),
+    "bbl_ell_inf": (
+        {"inst": {**INDICATORS, "ell": "inf", "lambda": 0.3, "grid_points": 64}},
+        ["bbl", "--instance", "inst"],
+        0,
+    ),
+    "bbl_ell_half": (
+        {"inst": {**TENTS, "ell": 0.5, "lambda": 0.4, "grid_points": 400}},
+        ["bbl", "--instance", "inst"],
+        0,
+    ),
+    "maximize_box": (
+        {"prob": {"objective": ORACLE_P, "feasible": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 5]},
+                  "multistart": 4}},
+        ["maximize", "--problem", "prob"],
+        0,
+    ),
+    "maximize_segment_seed": (
+        {"prob": {"objective": ORACLE_P, "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]},
+                  "multistart": 3, "tolerance": 1e-7}},
+        ["maximize", "--problem", "prob", "--seed", "11"],
+        0,
+    ),
+    "regiomontanus_box": (
+        {"cons": {"kind": "box", "lo": [0.5, 0.5], "hi": [2, 5]}},
+        ["regiomontanus", "--a", "1", "--b", "4", "--constraint", "cons", "--seed", "2"],
+        0,
+    ),
+}
+
+
+class TestGoldenReports:
+    """Each subcommand's JSON report has the bytes of tests/golden/cli_reports.json.
+
+    Only the manifest's wall time is masked.  The golden file maps each case
+    to its report; the printed text must equal that report dumped as the CLI
+    dumps it.  After an intended change of output, regenerate the file from
+    ``_report_text`` of every case and review the diff.
+    """
+
+    GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_reports.json"
+
+    @staticmethod
+    def _report_text(name, tmp_path, monkeypatch):
+        files, argv, rc = GOLDEN_REPORTS[name]
+        monkeypatch.chdir(tmp_path)
+        for stem, data in files.items():
+            write(tmp_path / f"{stem}.json", data)
+        argv = [f"{a}.json" if a in files else a for a in argv]
+        assert main([*argv, "--out", "report.json"]) == rc
+        text = (tmp_path / "report.json").read_text()
+        return re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": null', text, count=1)
+
+    def test_every_case_is_pinned(self):
+        assert sorted(json.loads(self.GOLDEN.read_text())) == sorted(GOLDEN_REPORTS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_matches_golden(self, name, tmp_path, monkeypatch):
+        golden = json.loads(self.GOLDEN.read_text())[name]
+        expected = json.dumps(golden, indent=2, sort_keys=True) + "\n"
+        assert self._report_text(name, tmp_path, monkeypatch) == expected
