@@ -1,7 +1,8 @@
 """Desk-scale discretized verification of the Borell-Brascamp-Lieb inequality.
 
 An instance is a pair of nonnegative, compactly supported fields f0, f1, an
-exponent ell >= -1/n, and a mixing weight lam in (0, 1).  The sup-convolution
+exponent ell >= -1/n, and a mixing weight lam in (0, 1): a descriptor of kind
+``bbl_instance``, whose ``"kind"`` a JSON file may leave out.  The sup-convolution
 
     S(y) = sup { M_ell(f0(y0), f1(y1); lam) : (1-lam) y0 + lam y1 = y }
 
@@ -46,18 +47,18 @@ few ulps of the sup.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .convolve import ResolutionError
 from .fields import ScalarField
-from .geometry import Key, NotRepresentableError, check_keys, integer, midpoint_axes
-from .geometry import midpoint_grid, minkowski_combine, number, read_key
+from .geometry import Descriptor, Key, NotRepresentableError, Record, integer, midpoint_axes
+from .geometry import midpoint_grid, minkowski_combine, number
 from .means import _P_GEOMETRIC, as_exponent, bbl_exponent, mean_p
 
-__all__ = ["BBLInstance", "BBLReport", "sup_convolution", "verify_bbl", "instance_from_json"]
+__all__ = ["BBLInstance", "BBLReport", "sup_convolution", "verify_bbl"]
 
 # Pair-sized arrays of a 2**14-pair block stay near malloc's mmap threshold
 # (128 KB), so blocks reuse heap memory instead of faulting in fresh pages:
@@ -70,7 +71,12 @@ _PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class BBLInstance:
+class BBLInstance(
+    Descriptor,
+    kind="bbl_instance",
+    keys={"f0": ScalarField, "f1": ScalarField, "ell": as_exponent,
+          "lambda": Key(number, attr="lam"), "grid_points": Key(integer, 512)},
+):
     """One discretized inequality instance.
 
     ``grid_points`` counts total grid points per support: it is the number
@@ -106,7 +112,7 @@ class BBLInstance:
 
 
 @dataclass(frozen=True)
-class BBLReport:
+class BBLReport(Record):
     lhs: float
     rhs: float
     margin: float
@@ -119,9 +125,6 @@ class BBLReport:
     @property
     def ok(self) -> bool:
         return self.margin >= -self.tolerance
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _log_mean_key(ell: float, a, b, lam: float) -> np.ndarray:
@@ -334,17 +337,4 @@ def verify_bbl(inst: BBLInstance) -> BBLReport:
         mass1=m1,
         marginal_exponent=exp,
         grid_points=inst.grid_points,
-    )
-
-
-def instance_from_json(data: dict) -> BBLInstance:
-    """Build an instance from {"f0", "f1", "ell", "lambda"} and optional "grid_points"."""
-    what = "BBL instance"
-    check_keys(data, ("f0", "f1", "ell", "lambda", "grid_points"), what)
-    return BBLInstance(
-        f0=read_key(data, "f0", ScalarField, what),
-        f1=read_key(data, "f1", ScalarField, what),
-        ell=read_key(data, "ell", as_exponent, what),
-        lam=read_key(data, "lambda", number, what),
-        grid_points=read_key(data, "grid_points", Key(integer, 512), what),
     )

@@ -4,8 +4,9 @@ Subcommands wire JSON descriptors to the library: ``means`` for exponent
 arithmetic, ``check`` for concavity verdicts, ``convolve`` for CSV value
 grids, ``bbl`` for inequality reports, and ``maximize``/``regiomontanus``
 for the unique-maximum solver.  Every JSON report embeds a run manifest
-(command, parsed configuration, seed, version); reports are deterministic
-for a fixed manifest apart from the recorded wall time.
+(command, parsed configuration, seed, version).  Reports are standard JSON,
+with infinite numbers as "inf"/"-inf", and deterministic for a fixed
+manifest apart from the recorded wall time.
 
 Exit codes: 0 success/pass, 1 violation or certificate failure, 2 input
 error or a refusal of the library (no usable samples, no convergence).
@@ -35,15 +36,15 @@ def _manifest(command: str, config: dict, seed=None) -> dict:
         "config": config,
         "seed": seed,
         "version": __version__,
-        "wall_time_s": None,  # filled just before writing
     }
 
 
-def _write_report(path: str | None, manifest: dict, payload: dict, t_start: float):
-    manifest = dict(manifest)
-    manifest["wall_time_s"] = round(time.monotonic() - t_start, 6)
-    report = {"manifest": manifest, **payload}
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _write_report(path: str | None, manifest: dict, record, t_start: float):
+    from .geometry import _encode
+
+    manifest = {**manifest, "wall_time_s": round(time.monotonic() - t_start, 6)}
+    report = {"manifest": _encode(manifest), **record.to_json()}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -115,7 +116,7 @@ def cmd_check(args) -> int:
         },
         seed=args.seed,
     )
-    _write_report(args.out, manifest, report.to_json(), t0)
+    _write_report(args.out, manifest, report, t0)
     if report.verdict in (VIOLATION, EQUALITY_OFF_SPEC):
         print(f"check: {report.verdict}", file=sys.stderr)
         return 1
@@ -171,13 +172,14 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_bbl(args) -> int:
-    from .bbl import instance_from_json, verify_bbl
+    from .bbl import BBLInstance, verify_bbl
+    from .geometry import from_json
 
     t0 = time.monotonic()
-    inst = instance_from_json(_load_json(args.instance))
+    inst = from_json(_load_json(args.instance), BBLInstance)
     report = verify_bbl(inst)
     manifest = _manifest("bbl", {"instance": args.instance})
-    _write_report(args.out, manifest, report.to_json(), t0)
+    _write_report(args.out, manifest, report, t0)
     if not report.ok:
         print("bbl: margin below tolerance", file=sys.stderr)
         return 1
@@ -185,15 +187,16 @@ def cmd_bbl(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    from .optimize import maximize, problem_from_json
+    from .geometry import from_json
+    from .optimize import MaxProblem, maximize
 
     t0 = time.monotonic()
-    prob = problem_from_json(_load_json(args.problem))
+    prob = from_json(_load_json(args.problem), MaxProblem)
     if args.seed is not None:
         prob.seed = args.seed
     result = maximize(prob)
     manifest = _manifest("maximize", {"problem": args.problem}, seed=prob.seed)
-    _write_report(args.out, manifest, result.to_json(), t0)
+    _write_report(args.out, manifest, result, t0)
     if not result.unique:
         print("maximize: uniqueness certificate failed", file=sys.stderr)
         return 1
@@ -210,7 +213,7 @@ def cmd_regiomontanus(args) -> int:
         "regiomontanus", {"a": args.a, "b": args.b, "constraint": args.constraint},
         seed=args.seed,
     )
-    _write_report(args.out, manifest, result.to_json(), t0)
+    _write_report(args.out, manifest, result, t0)
     if not result.unique:
         print("regiomontanus: uniqueness certificate failed", file=sys.stderr)
         return 1

@@ -27,11 +27,11 @@ ratio (t1 / t0)^alpha, whose rounding the report bits rest on.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, ParabolicRegion, SpaceTimeBox, row_norm, time_factor
+from .geometry import ConvexBody, ParabolicRegion, Record, SpaceTimeBox, row_norm, time_factor
 from .means import mean_p
 from .sampling import SamplingError, make_rng
 
@@ -61,13 +61,13 @@ _RAY_FRAC = 0.1  # share of space-time pairs forced onto rays
 
 
 @dataclass
-class ConcavityReport:
+class ConcavityReport(Record):
     """Outcome of a randomized concavity check."""
 
     verdict: str
     worst_margin: float
     witness: dict | None
-    samples_used: int
+    samples: int
     tolerance: float
     seed: int
     mode: str = "plain"
@@ -76,11 +76,6 @@ class ConcavityReport:
     @property
     def passed(self) -> bool:
         return self.verdict == PASS
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["samples"] = out.pop("samples_used")
-        return out
 
 
 @dataclass
@@ -165,7 +160,7 @@ def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
         verdict=verdict,
         worst_margin=0.0 if i is None else float(rel[i]),
         witness=witness,
-        samples_used=cfg.samples,
+        samples=cfg.samples,
         tolerance=_TOL,
         seed=cfg.seed,
         mode=mode,

@@ -34,7 +34,7 @@ from .fields import (
     ScalarField,
     SpaceTimeField,
 )
-from .geometry import Box, ConvexBody, Key, Polytope, midpoint_grid, number
+from .geometry import Box, ConvexBody, Key, Polytope, Record, midpoint_grid, number
 from .sampling import make_rng
 
 __all__ = [
@@ -92,16 +92,13 @@ class QuadratureSpec:
 
 
 @dataclass(frozen=True)
-class ConvolutionResult:
+class ConvolutionResult(Record):
     value: float
     est_error: float
 
     def __post_init__(self):
         if self.value < 0 or self.est_error < 0:
             raise ValueError("convolution values and error estimates are nonnegative")
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "est_error": self.est_error}
 
 
 # Terms of one (points x nodes) block, sized like bbl._PAIR_BUDGET, so memory

@@ -11,8 +11,9 @@ tests and gauges fold the facet products over the coordinates, so a point
 gets the same bits alone as in a batch.  Exact polytope arithmetic is only
 supported up to dimension 3.
 
-Bodies, space-time boxes and fields declare their JSON descriptors once, as
-:class:`Descriptor` subclasses; :func:`from_json` reads them all.
+Bodies, space-time boxes, fields, BBL instances and maximization problems
+are :class:`Descriptor` subclasses, which :func:`from_json` reads; they and
+the :class:`Record` reports write standard JSON ("inf"/"-inf" for infinities).
 
 :func:`time_factor` is the one home of the alpha rule f(t) = t^alpha (log t at
 alpha = 0); regions, coupling cores and the batched chart take f from it.
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .means import mean_p
+from .means import exponent_str, mean_p
 from .sampling import SamplingError, make_rng
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "RegionConvexityReport",
     "check_parabolic_convexity",
     "Descriptor",
+    "Record",
     "Key",
     "from_json",
     "check_keys",
@@ -200,12 +202,26 @@ class Descriptor:
         return {"kind": self.kind, **values}
 
 
+class Record:
+    """A dataclass report; ``to_json`` writes its fields by name."""
+
+    def to_json(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+
 def _encode(value):
-    if isinstance(value, Descriptor):
+    """``value`` as standard JSON: an infinite number becomes "inf" or "-inf"."""
+    if isinstance(value, (Descriptor, Record)):
         return value.to_json()
-    if isinstance(value, (list, np.ndarray)):
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
         return [_encode(v) for v in value]
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, float) and math.isinf(value):
+        return exponent_str(value)
+    if value is None or isinstance(value, (int, float, str)):
         return value
     raise ValueError(f"cannot serialize {type(value).__name__}")
 
@@ -239,13 +255,8 @@ def from_json(data, expected):
     return cls._build(*(read_key(data, key, spec, kind) for key, spec in cls.keys.items()))
 
 
-def read_key(data: dict, key: str, spec, kind: str):
-    """Decode ``data[key]`` by ``spec``, a :class:`Key` or a bare decoder.
-
-    A missing required key and a value the decoder refuses raise ValueError.
-    """
-    if not isinstance(spec, Key):
-        spec = Key(spec)
+def read_key(data: dict, key: str, spec: Key, kind: str):
+    """Decode ``data[key]`` by ``spec``; a missing required key or bad value raises ValueError."""
     if key not in data:
         if spec.default is _REQUIRED:
             raise ValueError(f"a {kind} descriptor needs the key {key!r}")
@@ -1043,20 +1054,15 @@ def chart_preimage(E: ParabolicRegion, w):
 
 
 @dataclass
-class RegionConvexityReport:
+class RegionConvexityReport(Record):
     """Sampled parabolic-convexity verdict with its chart cross-check."""
 
     verdict: str  # "pass" | "violation"
     direct_verdict: str
     chart_verdict: str
     witness: dict | None
-    samples_used: int
+    samples: int
     seed: int
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["samples"] = out.pop("samples_used")
-        return out
 
 
 def check_parabolic_convexity(
@@ -1094,6 +1100,6 @@ def check_parabolic_convexity(
         direct_verdict="pass" if ok_direct.all() else "violation",
         chart_verdict="pass" if ok_chart.all() else "violation",
         witness=witness,
-        samples_used=samples,
+        samples=samples,
         seed=seed,
     )

@@ -12,6 +12,9 @@ searches stop refining once bracket differences drop below five times the
 local error estimate, so quadrature-backed objectives are never chased
 inside their own noise.
 
+A problem is a descriptor of kind ``problem``, whose ``"kind"`` a JSON file
+may leave out; every field but ``max_cycles`` is a key.
+
 The starts advance in lockstep, one probe per unfinished start per round.
 Their current points are the rows of one (starts, dim) array; each start's
 search moves its own row in place and asks for a probe as an ``(axis, s)``
@@ -33,14 +36,14 @@ set with more than 32 non-degenerate axes raises ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convolve import PoissonIndicatorField
 from .fields import ScalarField, SpaceTimeField, field_from_json
-from .geometry import Box, ConvexBody, Interval, ParabolicRegion, SpaceTimeBox
-from .geometry import check_keys, from_json, integer, number, read_key
+from .geometry import Box, ConvexBody, Descriptor, Interval, Key, ParabolicRegion, Record
+from .geometry import SpaceTimeBox, check_keys, from_json, integer, number, read_key
 from .sampling import sobol
 
 __all__ = [
@@ -49,7 +52,6 @@ __all__ = [
     "ConvergenceError",
     "maximize",
     "regiomontanus",
-    "problem_from_json",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -59,8 +61,34 @@ class ConvergenceError(RuntimeError):
     """No start reached the requested tolerance within the iteration cap."""
 
 
+def _objective_from_json(spec):
+    """A field descriptor, or one wrapped as ``{"kind": ..., "field": ...}``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind in ("spacetime_field", "scalar_field"):
+        check_keys(spec, ("kind", "field"), kind)
+        expected = SpaceTimeField if kind == "spacetime_field" else ScalarField
+        return read_key(spec, "field", Key(expected), kind)
+    return field_from_json(spec)
+
+
+def feasible_from_json(fspec: dict):
+    """Feasible-set descriptor: a body, a space-time box, or a degenerate box."""
+    if isinstance(fspec, dict) and fspec.get("kind") == "box":
+        check_keys(fspec, ("kind", *Box.keys), "box")
+        lo, hi = (np.atleast_1d(read_key(fspec, k, Box.keys[k], "box")) for k in ("lo", "hi"))
+        if (lo < hi).all():
+            return Box(lo, hi)
+        return (lo, hi)  # segment-like constraint with zero-width axes
+    return from_json(fspec, (ConvexBody, SpaceTimeBox))
+
+
 @dataclass
-class MaxProblem:
+class MaxProblem(
+    Descriptor,
+    kind="problem",
+    keys={"objective": _objective_from_json, "feasible": feasible_from_json,
+          "tolerance": Key(number, 1e-8), "multistart": Key(integer, 10), "seed": Key(integer, 0)},
+):
     """Bounded maximization problem.
 
     ``feasible`` is a :class:`ConvexBody` (axes may be degenerate, e.g. a
@@ -86,16 +114,13 @@ class MaxProblem:
 
 
 @dataclass
-class MaxResult:
+class MaxResult(Record):
     argmax: np.ndarray
     value: float
     starts_converged: int
     max_pairwise_spread: float
     evaluations: int
     unique: bool
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "argmax": self.argmax.tolist()}
 
 
 class _Feasible:
@@ -142,22 +167,17 @@ class _Feasible:
         """Stratified starting points (scrambled Sobol, membership-filtered); see the module."""
         active = self.span > 0
         out = []
-        if active.any():
-            draw = sobol(int(active.sum()), seed)
-            batch = 1 << max(3, (count - 1).bit_length())
-            for _ in range(64):
-                u = draw(batch)
-                pts = np.tile(self.lo.astype(float), (len(u), 1))
-                pts[:, active] = self.lo[active] + u * self.span[active]
-                for z in pts:
-                    if self.member(z):
-                        out.append(z)
-                        if len(out) == count:
-                            return np.array(out)
-        else:
-            z = self.lo.copy()
-            if self.member(z):
-                return np.tile(z, (count, 1))
+        draw = sobol(int(active.sum()), seed)
+        batch = 1 << max(3, (count - 1).bit_length())
+        for _ in range(64):
+            u = draw(batch)
+            pts = np.tile(self.lo.astype(float), (len(u), 1))
+            pts[:, active] = self.lo[active] + u * self.span[active]
+            for z in pts:
+                if self.member(z):
+                    out.append(z)
+                    if len(out) == count:
+                        return np.array(out)
         if not out:
             raise ConvergenceError("found no feasible starting point")
         return np.array(out)
@@ -382,39 +402,3 @@ def regiomontanus(a: float, b: float, constraint, **kw) -> MaxResult:
 
     prob = MaxProblem(objective=PoissonIndicatorField(a, b), feasible=constraint, **kw)
     return maximize(prob)
-
-
-def problem_from_json(data: dict) -> MaxProblem:
-    """Build a problem from JSON: objective descriptor + feasible descriptor.
-
-    The objective is any field descriptor (``oracle_w``, ``oracle_p`` and
-    ``convolution`` included); wrapped as ``{"kind": "spacetime_field" |
-    "scalar_field", "field": ...}`` it must also be a field of that type.
-    """
-    check_keys(data, ("objective", "feasible", "tolerance", "multistart", "seed"), "problem")
-    objective = read_key(data, "objective", _objective_from_json, "problem")
-    feasible = read_key(data, "feasible", feasible_from_json, "problem")
-    decoders = {"tolerance": number, "multistart": integer, "seed": integer}
-    opts = {k: read_key(data, k, dec, "problem") for k, dec in decoders.items() if k in data}
-    return MaxProblem(objective=objective, feasible=feasible, **opts)
-
-
-def _objective_from_json(spec):
-    """A field descriptor, or one wrapped as ``{"kind": ..., "field": ...}``."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind in ("spacetime_field", "scalar_field"):
-        check_keys(spec, ("kind", "field"), kind)
-        expected = SpaceTimeField if kind == "spacetime_field" else ScalarField
-        return read_key(spec, "field", expected, kind)
-    return field_from_json(spec)
-
-
-def feasible_from_json(fspec: dict):
-    """Feasible-set descriptor: a body, a space-time box, or a degenerate box."""
-    if isinstance(fspec, dict) and fspec.get("kind") == "box":
-        check_keys(fspec, ("kind", *Box.keys), "box")
-        lo, hi = (np.atleast_1d(read_key(fspec, k, Box.keys[k], "box")) for k in ("lo", "hi"))
-        if (lo < hi).all():
-            return Box(lo, hi)
-        return (lo, hi)  # segment-like constraint with zero-width axes
-    return from_json(fspec, (ConvexBody, SpaceTimeBox))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from concavekit.bbl import (
     _log_mean_key,
     _partner_ranges,
     _sup_grid,
-    instance_from_json,
     sup_convolution,
     verify_bbl,
 )
@@ -26,7 +26,7 @@ from concavekit.fields import (
     PullbackField,
     TentField,
 )
-from concavekit.geometry import Ball, Box, Interval, Polytope, midpoint_grid
+from concavekit.geometry import Ball, Box, Interval, Polytope, from_json, midpoint_grid
 from concavekit.means import holder_exponent, mean_p
 from concavekit.sampling import make_rng
 
@@ -61,6 +61,14 @@ class TestSupConvolution:
             0.5,
         )
         assert sup_convolution(inst, [1.5]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_coarse_grid_refuses_a_certified_positive_sup(self):
+        # 8 cells: the half-cell partners of y = 1.01 miss f1's support, though
+        # y lies inside the combination [1, 2.5] of the supports
+        inst = interval_instance(grid=8)
+        with pytest.raises(convolve.ResolutionError, match="grid too coarse"):
+            sup_convolution(inst, [1.01])
+        assert sup_convolution(inst, [1.5]) == 1.0
 
 
 def data_field(kind, body):
@@ -531,9 +539,28 @@ class TestJson:
             "ell": 0,
             "lambda": 0.5,
         }
-        inst = instance_from_json(data)
+        inst = from_json(data, BBLInstance)
         r = verify_bbl(inst)
         assert r.rhs == pytest.approx(math.sqrt(2.0))
+
+    @pytest.mark.parametrize("ell", ["inf", "-inf"])
+    def test_infinite_exponent_writes_standard_json(self, ell):
+        # every key given, so the written descriptor equals the one read
+        body0 = {"kind": "interval", "a": 0, "b": 1}
+        body1 = {"kind": "interval", "a": 2, "b": 4}
+        data = {
+            "kind": "bbl_instance",
+            "f0": {"kind": "indicator", "body": body0, "height": 1.0},
+            "f1": {"kind": "tent", "body": body1, "height": 1.0, "center": [3.0]},
+            "ell": ell,
+            "lambda": 0.5,
+            "grid_points": 512,
+        }
+        inst = from_json(data, BBLInstance)
+        text = json.dumps(inst.to_json(), allow_nan=False)
+        assert json.loads(text) == data
+        back = from_json(json.loads(text), BBLInstance)
+        assert back.ell == inst.ell and back.to_json() == inst.to_json()
 
     def test_validation(self):
         with pytest.raises(ValueError):

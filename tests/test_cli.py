@@ -244,6 +244,17 @@ class TestBBL:
         assert rep["lhs"] == pytest.approx(1.5, abs=0.01)
         assert rep["rhs"] == pytest.approx(math.sqrt(2), rel=1e-12)
 
+    def test_boundary_exponent_report_is_standard_json(self, tmp_path, capsys):
+        # at ell = -1/n the marginal exponent ell / (1 + n ell) is -inf
+        inst = write(tmp_path / "inst.json", {**TestDescriptors.INSTANCE, "ell": -1})
+        assert main(["bbl", "--instance", inst]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rep["marginal_exponent"] == "-inf"
+
 
 class TestMaximize:
     def test_problem_file(self, tmp_path, capsys):
@@ -395,7 +406,7 @@ class TestDescriptors:
     def test_non_numeric_bbl_value_is_input_error(self, key, value, tmp_path, capsys):
         inst = write(tmp_path / "inst.json", {**self.INSTANCE, key: value})
         assert main(["bbl", "--instance", inst]) == 2
-        assert f"BBL instance.{key}" in capsys.readouterr().err
+        assert f"bbl_instance.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, data, where",

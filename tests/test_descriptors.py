@@ -4,6 +4,7 @@ The tests are parametrized over the registry itself, so a newly registered
 class fails ``test_every_kind_has_a_sample`` until it gets a sample here.
 """
 
+import dataclasses
 import json
 import math
 
@@ -47,6 +48,22 @@ SAMPLES = {
     "oracle_w": {"kind": "oracle_w", "a": 1, "b": 4},
     "oracle_p": {"kind": "oracle_p", "a": 1, "b": 4},
     "convolution": {"kind": "convolution", "kernel": "poisson", "psi": INDICATOR},
+    "bbl_instance": {
+        "kind": "bbl_instance",
+        "f0": INDICATOR,
+        "f1": {"kind": "tent", "body": INTERVAL},
+        "ell": 0.5,
+        "lambda": 0.3,
+        "grid_points": 64,
+    },
+    "problem": {
+        "kind": "problem",
+        "objective": {"kind": "oracle_p", "a": 1, "b": 4},
+        "feasible": {"kind": "spacetime_box", "body": INTERVAL, "t_lo": 0.5, "t_hi": 4},
+        "tolerance": 1e-6,
+        "multistart": 4,
+        "seed": 3,
+    },
 }
 
 # kinds whose objects hold something without a descriptor: a profile
@@ -60,6 +77,10 @@ DEFAULTS = {
     "height": 1,
     "kernel": "gw",
     "center": lambda d: body_from_json(d["body"]).interior_point().tolist(),
+    "grid_points": 512,
+    "tolerance": 1e-8,
+    "multistart": 10,
+    "seed": 0,
 }
 
 
@@ -73,7 +94,10 @@ def _keys(required: bool):
 
 
 def _values(obj) -> tuple:
-    """The object's values on a fixed point batch."""
+    """The object's values on a fixed point batch; its descriptor if it is
+    neither a body, a space-time box nor a field."""
+    if not isinstance(obj, (ConvexBody, SpaceTimeBox, ScalarField, SpaceTimeField)):
+        return (json.dumps(obj.to_json(), sort_keys=True),)
     rng = make_rng(7)
     X = rng.uniform(-1.5, 2.5, size=(8, obj.dim))
     if isinstance(obj, ConvexBody):
@@ -123,6 +147,17 @@ def test_left_out_key_loads_its_default(kind, key):
     default = DEFAULTS[key](left_out) if callable(DEFAULTS[key]) else DEFAULTS[key]
     explicit = {**left_out, key: default}
     _assert_same(from_json(left_out, _KINDS[kind]), from_json(explicit, _KINDS[kind]))
+
+
+@pytest.mark.parametrize(
+    "kind", sorted(k for k, cls in _KINDS.items() if dataclasses.is_dataclass(cls))
+)
+def test_key_defaults_are_the_constructor_defaults(kind):
+    cls = _KINDS[kind]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key, spec in cls.keys.items():
+        if spec.default is not _REQUIRED:
+            assert defaults[spec.attr or key] == spec.default
 
 
 @pytest.mark.parametrize("kind, key", _keys(required=True))

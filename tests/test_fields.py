@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from concavekit.convolve import HeatIndicatorField
 from concavekit.fields import (
     ConstantField,
     FixedTimeSlice,
@@ -193,6 +194,17 @@ class TestConjugation:
             x = rng.uniform(-2, 2)
             t = rng.uniform(1.5, 6)
             assert again([x], t) == phi0([x], t)
+
+    def test_inverse_of_a_field_in_linear_time(self):
+        # a field that is not a log-time conjugate gets the exp-time picture
+        phi0 = HeatIndicatorField(-1, 1)
+        phi1 = conjugate0_inverse(phi0)
+        assert phi1.t_lo == 0.0 and phi1.claimed_alpha == 1.0
+        rng = make_rng(38)
+        X = rng.uniform(-2, 2, size=(20, 1))
+        T = rng.uniform(0.05, 3, size=20)
+        assert np.array_equal(phi1(X, T), phi0(X, np.exp(T)))
+        assert conjugate0(phi1) is phi0
 
     def test_domain_guard(self):
         phi0 = conjugate0(GaussWeierstrassKernel(1))

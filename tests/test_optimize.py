@@ -17,8 +17,8 @@ from concavekit.fields import (
     IndicatorField,
     TentField,
 )
-from concavekit.geometry import Ball, Box, HatRegion, Interval, Polytope, SpaceTimeBox
-from concavekit.optimize import MaxProblem, maximize, problem_from_json, regiomontanus
+from concavekit.geometry import Ball, Box, HatRegion, Interval, Polytope, SpaceTimeBox, from_json
+from concavekit.optimize import MaxProblem, maximize, regiomontanus
 from concavekit.sampling import sobol
 
 
@@ -398,18 +398,19 @@ class TestRegiomontanus:
 
 class TestProblemJson:
     def test_oracle_problem(self):
-        prob = problem_from_json(
+        prob = from_json(
             {
                 "objective": {"kind": "oracle_p", "a": 1, "b": 4},
                 "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]},
                 "multistart": 4,
-            }
+            },
+            MaxProblem,
         )
         r = maximize(prob)
         assert abs(r.argmax[1] - 2.0) < 1e-6
 
     def test_convolution_problem(self):
-        prob = problem_from_json(
+        prob = from_json(
             {
                 "objective": {
                     "kind": "convolution",
@@ -426,7 +427,8 @@ class TestProblemJson:
                     "t_hi": 3.0,
                 },
                 "multistart": 3,
-            }
+            },
+            MaxProblem,
         )
         r = maximize(prob)
         assert abs(r.argmax[0]) < 1e-3
@@ -435,17 +437,19 @@ class TestProblemJson:
     def test_field_kind_must_match(self):
         scalar = {"kind": "gaussian", "n": 2, "t": 1.0}
         with pytest.raises(ValueError, match="SpaceTimeField"):
-            problem_from_json(
+            from_json(
                 {
                     "objective": {"kind": "spacetime_field", "field": scalar},
                     "feasible": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 2]},
-                }
+                },
+                MaxProblem,
             )
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            problem_from_json(
-                {"objective": {"kind": "mystery"}, "feasible": {"kind": "interval", "a": 0, "b": 1}}
+            from_json(
+                {"objective": {"kind": "mystery"}, "feasible": {"kind": "interval", "a": 0, "b": 1}},
+                MaxProblem,
             )
 
 
