@@ -3,10 +3,16 @@
 Subcommands wire JSON descriptors to the library: ``means`` for exponent
 arithmetic, ``check`` for concavity verdicts, ``convolve`` for CSV value
 grids, ``bbl`` for inequality reports, and ``maximize``/``regiomontanus``
-for the unique-maximum solver.  Every JSON report embeds a run manifest
-(command, parsed configuration, seed, version).  Reports are standard JSON,
-with infinite numbers as "inf"/"-inf", and deterministic for a fixed
-manifest apart from the recorded wall time.
+for the unique-maximum solver.  Each subcommand reads its inputs and
+returns its result, its seed and a failure message (or None); :func:`main`
+times the run and writes every result but a ``means`` number with a run
+manifest: the command, the configuration (every parsed argument but
+``--out`` and ``--seed``), the seed, the version and the wall time.  A
+JSON report embeds it; a ``convolve`` CSV starts with ``# manifest:`` and
+the manifest as one line of JSON.  Output is standard JSON, with infinite
+numbers as "inf"/"-inf", and deterministic for a fixed manifest apart from
+the recorded wall time.  Input is standard JSON too: ``NaN``, ``Infinity``
+and numbers that overflow to infinity are refused.
 
 Exit codes: 0 success/pass, 1 violation or certificate failure, 2 input
 error or a refusal of the library (no usable samples, no convergence).
@@ -22,63 +28,42 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, optimize
+from .bbl import BBLInstance, verify_bbl
+from .concavity import (
+    EQUALITY_OFF_SPEC,
+    VIOLATION,
+    CheckConfig,
+    check_p_concavity,
+    check_parabolic_p_concavity,
+)
+from .convolve import KERNELS, ConvolutionField, QuadratureSpec
+from .fields import IndicatorField, field_from_json
+from .geometry import SpaceTimeBox, _encode, body_from_json, from_json
 from .means import as_exponent, exponent_str, holder_exponent, mean_p
-from .optimize import ConvergenceError
 from .sampling import SamplingError
 
 __all__ = ["main"]
 
 
-def _manifest(command: str, config: dict, seed=None) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-    }
-
-
-def _write_report(path: str | None, manifest: dict, record, t_start: float):
-    from .geometry import _encode
-
-    manifest = {**manifest, "wall_time_s": round(time.monotonic() - t_start, 6)}
-    report = {"manifest": _encode(manifest), **record.to_json()}
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
-def cmd_means(args) -> int:
+def cmd_means(args):
     if args.ell:
-        print(exponent_str(holder_exponent(args.p, args.q)))
-        return 0
+        return exponent_str(holder_exponent(args.p, args.q)), None, None
     if args.a is None or args.b is None or args.lam is None:
         raise ValueError("means needs --a, --b and --lambda (or --ell with --p/--q)")
-    print(repr(mean_p(as_exponent(args.p), args.a, args.b, args.lam)))
-    return 0
+    return repr(mean_p(as_exponent(args.p), args.a, args.b, args.lam)), None, None
 
 
-def cmd_check(args) -> int:
-    from .concavity import (
-        EQUALITY_OFF_SPEC,
-        VIOLATION,
-        CheckConfig,
-        check_p_concavity,
-        check_parabolic_p_concavity,
-    )
-    from .fields import field_from_json
-    from .geometry import SpaceTimeBox, body_from_json, from_json
-
-    t0 = time.monotonic()
+def cmd_check(args):
     field = field_from_json(_load_json(args.field))
     mode = args.mode.replace("-", "_")
 
@@ -103,24 +88,8 @@ def cmd_check(args) -> int:
         report = check_parabolic_p_concavity(
             field, args.alpha, as_exponent(args.p), cfg, mode=mode
         )
-
-    manifest = _manifest(
-        "check",
-        {
-            "which": args.which,
-            "field": args.field,
-            "p": args.p,
-            "alpha": args.alpha,
-            "mode": args.mode,
-            "samples": args.samples,
-        },
-        seed=args.seed,
-    )
-    _write_report(args.out, manifest, report, t0)
-    if report.verdict in (VIOLATION, EQUALITY_OFF_SPEC):
-        print(f"check: {report.verdict}", file=sys.stderr)
-        return 1
-    return 0
+    failed = report.verdict in (VIOLATION, EQUALITY_OFF_SPEC)
+    return report, args.seed, report.verdict if failed else None
 
 
 def _parse_grid(spec: str):
@@ -131,12 +100,7 @@ def _parse_grid(spec: str):
     return out
 
 
-def cmd_convolve(args) -> int:
-    from .convolve import KERNELS, ConvolutionField, QuadratureSpec
-    from .fields import IndicatorField
-    from .geometry import body_from_json
-
-    t0 = time.monotonic()
+def cmd_convolve(args):
     body = body_from_json(_load_json(args.body))
     quad = QuadratureSpec.default_for(body)
     field = ConvolutionField(KERNELS[args.kernel](body.dim), IndicatorField(body), quad)
@@ -153,71 +117,29 @@ def cmd_convolve(args) -> int:
     P = np.stack(cols, axis=1)
     values, errors = field.eval_with_error(P, T)
 
-    manifest = _manifest(
-        "convolve",
-        {"kernel": args.kernel, "body": args.body, "xgrid": args.xgrid, "tgrid": args.tgrid},
-    )
-    manifest["wall_time_s"] = round(time.monotonic() - t0, 6)
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
-    lines.append(",".join([f"x{i}" for i in range(body.dim)] + ["t", "value", "est_error"]))
+    lines = [",".join([f"x{i}" for i in range(body.dim)] + ["t", "value", "est_error"])]
     for x, t, v, e in zip(P.tolist(), T.tolist(), values.tolist(), errors.tolist()):
         lines.append(",".join(map(repr, [*x, t, v, e])))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return 0
+    return "\n".join(lines) + "\n", None, None
 
 
-def cmd_bbl(args) -> int:
-    from .bbl import BBLInstance, verify_bbl
-    from .geometry import from_json
-
-    t0 = time.monotonic()
-    inst = from_json(_load_json(args.instance), BBLInstance)
-    report = verify_bbl(inst)
-    manifest = _manifest("bbl", {"instance": args.instance})
-    _write_report(args.out, manifest, report, t0)
-    if not report.ok:
-        print("bbl: margin below tolerance", file=sys.stderr)
-        return 1
-    return 0
+def cmd_bbl(args):
+    report = verify_bbl(from_json(_load_json(args.instance), BBLInstance))
+    return report, None, None if report.ok else "margin below tolerance"
 
 
-def cmd_maximize(args) -> int:
-    from .geometry import from_json
-    from .optimize import MaxProblem, maximize
-
-    t0 = time.monotonic()
-    prob = from_json(_load_json(args.problem), MaxProblem)
+def cmd_maximize(args):
+    prob = from_json(_load_json(args.problem), optimize.MaxProblem)
     if args.seed is not None:
         prob.seed = args.seed
-    result = maximize(prob)
-    manifest = _manifest("maximize", {"problem": args.problem}, seed=prob.seed)
-    _write_report(args.out, manifest, result, t0)
-    if not result.unique:
-        print("maximize: uniqueness certificate failed", file=sys.stderr)
-        return 1
-    return 0
+    result = optimize.maximize(prob)
+    return result, prob.seed, None if result.unique else "uniqueness certificate failed"
 
 
-def cmd_regiomontanus(args) -> int:
-    from .optimize import feasible_from_json, regiomontanus
-
-    t0 = time.monotonic()
-    constraint = feasible_from_json(_load_json(args.constraint))
-    result = regiomontanus(args.a, args.b, constraint, seed=args.seed)
-    manifest = _manifest(
-        "regiomontanus", {"a": args.a, "b": args.b, "constraint": args.constraint},
-        seed=args.seed,
-    )
-    _write_report(args.out, manifest, result, t0)
-    if not result.unique:
-        print("regiomontanus: uniqueness certificate failed", file=sys.stderr)
-        return 1
-    return 0
+def cmd_regiomontanus(args):
+    constraint = optimize.feasible_from_json(_load_json(args.constraint))
+    result = optimize.regiomontanus(args.a, args.b, constraint, seed=args.seed)
+    return result, args.seed, None if result.unique else "uniqueness certificate failed"
 
 
 @functools.cache
@@ -289,11 +211,38 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
-    except (ValueError, OSError, SamplingError, ConvergenceError) as exc:
+        result, seed, failure = args.fn(args)
+        if args.command == "means":  # a bare number, without a manifest
+            print(result)
+            return 0
+        config = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "out", "seed")}
+        manifest = _encode({
+            "command": args.command,
+            "config": config,
+            "seed": seed,
+            "version": __version__,
+            "wall_time_s": round(time.monotonic() - t0, 6),
+        })
+        csv = isinstance(result, str)
+        text = json.dumps(
+            manifest if csv else {"manifest": manifest, **result.to_json()},
+            indent=None if csv else 2, sort_keys=True, allow_nan=False,
+        )
+        text = f"# manifest: {text}\n{result}" if csv else text + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            print(text, end="")
+    except (ValueError, OSError, SamplingError, optimize.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failure:
+        print(f"{args.command}: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

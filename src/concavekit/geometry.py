@@ -138,14 +138,14 @@ _REQUIRED = object()
 _KINDS: dict[str, type] = {}
 
 def number(value) -> float:
-    """Decode a JSON number; a string, a boolean or a container is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"expected a number, not {value!r}")
+    """Decode a finite JSON number; ±inf, NaN, a string, a boolean or a container is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, not {value!r}")
     return float(value)
 
 
 def float_array(value) -> np.ndarray:
-    """Decode a JSON number or nested list of numbers; a string, boolean or null is refused."""
+    """Decode a finite JSON number or nested list of them; what ``number`` refuses is refused."""
     for v in np.asarray(value, dtype=object).flat:
         number(v)
     return np.asarray(value, dtype=float)

@@ -41,10 +41,9 @@ class SamplingError(RuntimeError):
     """Raised when rejection sampling cannot find the requested points."""
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for the given 64-bit seed and worker stream."""
-    key = np.uint64(seed) + (np.uint64(stream) << np.uint64(32))
-    return np.random.Generator(np.random.Philox(key=int(key)))
+def make_rng(seed: int) -> np.random.Generator:
+    """Philox generator keyed by the given 64-bit seed."""
+    return np.random.Generator(np.random.Philox(key=int(np.uint64(seed))))
 
 
 @functools.cache

@@ -9,12 +9,22 @@ from pathlib import Path
 
 import pytest
 
-from concavekit.cli import main
+from concavekit.cli import _build_parser, main
 
 
 def write(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def parsed_config(argv):
+    """The manifest configuration of ``argv``: its parsed arguments but --out and --seed."""
+    parsed = vars(_build_parser().parse_args(argv))
+    return {k: v for k, v in parsed.items() if k not in ("fn", "command", "out", "seed")}
 
 
 def src_env():
@@ -193,6 +203,15 @@ class TestConvolve:
         argv = ["convolve", "--kernel", kernel, "--body", interval_body, "--xgrid=nan:nan:1"]
         assert main(argv + ["--tgrid", "1:1:1"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_manifest_line_is_standard_json_of_the_parsed_arguments(self, interval_body, capsys):
+        argv = ["convolve", "--kernel", "gw", "--body", interval_body, "--xgrid=-1:1:3"]
+        argv += ["--tgrid", "1:1:1"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.split("\n")[0]
+        manifest = json.loads(first.removeprefix("# manifest: "), parse_constant=refuse_constant)
+        assert manifest["config"] == parsed_config(argv)
+        assert manifest["seed"] is None
 
     GOLDEN = Path(__file__).resolve().parent / "golden" / "convolve_ball.csv"
 
@@ -460,6 +479,54 @@ class TestDescriptors:
         assert main([*argv, write(tmp_path / "data.json", data)]) == 2
         assert where in capsys.readouterr().err
 
+    # each file a subcommand reads, with one number written as NUMBER
+    NON_FINITE = {
+        "check_field": (
+            ["check", "concavity", "--p", "1", "--samples", "50", "--field"],
+            {"kind": "tent", "body": {"kind": "interval", "a": 0, "b": "NUMBER"}},
+        ),
+        "check_domain": (
+            ["check", "parabolic", "--p", "-1", "--alpha", "0.5", "--field", "{gw}", "--domain"],
+            {"body": {"kind": "interval", "a": -2, "b": 2}, "t_lo": 0.5, "t_hi": "NUMBER"},
+        ),
+        "convolve": (
+            ["convolve", "--kernel", "gw", "--xgrid=0:1:2", "--tgrid", "1:1:1", "--body"],
+            {"kind": "interval", "a": 0, "b": "NUMBER"},
+        ),
+        "bbl": (["bbl", "--instance"], {**INSTANCE, "lambda": "NUMBER"}),
+        "maximize": (
+            ["maximize", "--problem"],
+            {**PROBLEM, "feasible": {"kind": "box", "lo": [0, 0.5], "hi": [0, "NUMBER"]}},
+        ),
+        "regiomontanus": (
+            ["regiomontanus", "--a", "1", "--b", "4", "--constraint"],
+            {"kind": "box", "lo": [0, 0.5], "hi": [0, "NUMBER"]},
+        ),
+    }
+
+    @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "-1e999"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_is_input_error(self, case, number, tmp_path, capsys, gw_field):
+        command, data = self.NON_FINITE[case]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(data).replace('"NUMBER"', number))
+        argv = [a.format(gw=gw_field) for a in command]
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_overflowing_exponent_reads_as_inf(self, tmp_path, capsys):
+        reports = []
+        for ell in ('"inf"', "1e999"):
+            path = tmp_path / "inst.json"
+            inst = {**self.INSTANCE, "ell": "ELL", "grid_points": 64}
+            path.write_text(json.dumps(inst).replace('"ELL"', ell))
+            assert main(["bbl", "--instance", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            reports[-1]["manifest"].pop("wall_time_s")
+        assert reports[0] == reports[1]
+        assert reports[0]["marginal_exponent"] == 1.0
+
     def test_integral_float_counts_are_read(self, tmp_path, capsys):
         prob = write(tmp_path / "prob.json", {**self.PROBLEM, "multistart": 4.0, "seed": 7.0})
         assert main(["maximize", "--problem", prob]) == 0
@@ -641,6 +708,13 @@ class TestGoldenReports:
         assert main([*argv, "--out", "report.json"]) == rc
         text = (tmp_path / "report.json").read_text()
         return re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": null', text, count=1)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_manifest_config_is_the_parsed_arguments(self, name, tmp_path, monkeypatch):
+        manifest = json.loads(self._report_text(name, tmp_path, monkeypatch))["manifest"]
+        files, argv, _ = GOLDEN_REPORTS[name]
+        argv = [f"{a}.json" if a in files else a for a in argv]
+        assert manifest["config"] == parsed_config([*argv, "--out", "report.json"])
 
     def test_every_case_is_pinned(self):
         assert sorted(json.loads(self.GOLDEN.read_text())) == sorted(GOLDEN_REPORTS)

@@ -206,7 +206,7 @@ def _with_first_number(value, new):
         for kind, cls in sorted(_KINDS.items())
         for key, spec in cls.keys.items()
         if spec.decode in (number, integer, float_array)
-        for wrong in ("1", True, None)
+        for wrong in ("1", True, None, math.inf, -math.inf, math.nan)
     ]
     + [("constant", "n", 1.5), ("gauss_weierstrass", "n", 2.7)],
     ids=str,
