@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -138,8 +139,14 @@ _REQUIRED = object()
 _KINDS: dict[str, type] = {}
 
 def number(value) -> float:
-    """Decode a finite JSON number; ±inf, NaN, a string, a boolean or a container is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Decode a finite JSON number.
+
+    ±inf, NaN, an integer beyond the float range, a string, a boolean or a
+    container is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, not {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN compares false too
         raise ValueError(f"expected a finite number, not {value!r}")
     return float(value)
 

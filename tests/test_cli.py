@@ -267,11 +267,7 @@ class TestBBL:
         # at ell = -1/n the marginal exponent ell / (1 + n ell) is -inf
         inst = write(tmp_path / "inst.json", {**TestDescriptors.INSTANCE, "ell": -1})
         assert main(["bbl", "--instance", inst]) == 0
-
-        def refuse(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        rep = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
         assert rep["marginal_exponent"] == "-inf"
 
 
@@ -504,7 +500,10 @@ class TestDescriptors:
         ),
     }
 
-    @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "-1e999"])
+    @pytest.mark.parametrize(
+        "number",
+        ["Infinity", "-Infinity", "NaN", "1e999", "-1e999", pytest.param("1" + "0" * 400, id="1e400")],
+    )
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_non_finite_number_is_input_error(self, case, number, tmp_path, capsys, gw_field):
         command, data = self.NON_FINITE[case]
