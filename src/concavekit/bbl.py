@@ -47,6 +47,7 @@ few ulps of the sup.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,8 +100,8 @@ class BBLInstance(
             raise ValueError("lam must lie in (0, 1)")
         if self.ell < -1.0 / self.dim and not math.isinf(self.ell):
             raise ValueError("requires ell >= -1/n")
-        if self.grid_points < 8:
-            raise ValueError("needs at least 8 grid points")
+        if not 8 <= self.grid_points <= sys.float_info.max:
+            raise ValueError("needs at least 8 grid points, and a count in the float range")
 
     @property
     def dim(self) -> int:

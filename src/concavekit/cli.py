@@ -39,7 +39,7 @@ from .concavity import (
 )
 from .convolve import KERNELS, ConvolutionField, QuadratureSpec
 from .fields import IndicatorField, field_from_json
-from .geometry import SpaceTimeBox, _encode, body_from_json, from_json
+from .geometry import SpaceTimeBox, _encode, body_from_json, from_json, number
 from .means import as_exponent, exponent_str, holder_exponent, mean_p
 from .sampling import SamplingError
 
@@ -53,6 +53,11 @@ def _refuse_constant(name: str):
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh, parse_constant=_refuse_constant)
+
+
+def finite_float(text: str) -> float:
+    """A float option; argparse reports a non-finite one as invalid (exit code 2)."""
+    return number(float(text))
 
 
 def cmd_means(args):
@@ -156,9 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("means", help="power-mean and exponent arithmetic")
     p.add_argument("--p", required=True, help="exponent (number, inf, -inf)")
     p.add_argument("--q", help="second exponent for --ell")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--a", type=finite_float)
+    p.add_argument("--b", type=finite_float)
+    p.add_argument("--lambda", dest="lam", type=finite_float)
     p.add_argument("--ell", action="store_true", help="print the product-inequality exponent")
     p.set_defaults(fn=cmd_means)
 
@@ -166,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["concavity", "parabolic"])
     p.add_argument("--field", required=True, help="field descriptor JSON file")
     p.add_argument("--p", required=True, help="exponent (number, inf, -inf)")
-    p.add_argument("--alpha", type=float, help="time exponent for parabolic checks")
+    p.add_argument("--alpha", type=finite_float, help="time exponent for parabolic checks")
     p.add_argument(
         "--mode", default="plain", choices=["plain", "strict", "almost-strict"]
     )
@@ -196,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_maximize)
 
     p = sub.add_parser("regiomontanus", help="viewing-angle maximization")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--b", type=finite_float, required=True)
     p.add_argument("--constraint", required=True, help="constraint body JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="result JSON path (stdout when omitted)")

@@ -50,7 +50,10 @@ def as_exponent(value) -> float:
         value = float(s)
     if isinstance(value, bool):
         raise ValueError(f"an exponent is a number or 'inf'/'-inf', not {value!r}")
-    p = float(value)
+    try:
+        p = float(value)
+    except OverflowError:  # an integer beyond the float range, read as 1e999 is
+        p = INF if value > 0 else NEG_INF
     if math.isnan(p):
         raise ValueError("exponent must not be NaN")
     return p

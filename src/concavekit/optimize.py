@@ -7,6 +7,14 @@ bracketing surprises.  The solver runs several stratified starts and reports
 the spread of their limits: a tight cluster is the uniqueness certificate,
 a wide one signals a non-strict objective or quadrature noise.
 
+A search on [a, b] first probes b and b - tol, then a and a + tol, and
+returns an end that beats its neighbour by more than five times their larger
+error estimate: by strict quasi-concavity the maximum is within tol of it.
+An end maximum (a space-time kernel's earliest time) costs 2 or 4 probes,
+not about 33 at tolerance 1e-6; an interior one 4 more than the golden
+section on the unchanged [a, b].  An axis is skipped while z has moved along
+no other since its last search: one free axis costs one search.
+
 Objectives may return a bare value or a (value, error-estimate) pair; line
 searches stop refining once bracket differences drop below five times the
 local error estimate, so quadrature-backed objectives are never chased
@@ -217,7 +225,7 @@ class _Feasible:
 
 
 def _golden_max(axis: int, a: float, b: float, tol: float):
-    """Golden-section maximization on [a, b]; returns (s*, value, error).
+    """End test, then golden-section maximization on [a, b]; returns (s*, value, error).
 
     A generator: yields the move ``(axis, s)`` per probe s and is sent its
     (value, error).  Probes that tie (exactly, or within five times their
@@ -230,6 +238,11 @@ def _golden_max(axis: int, a: float, b: float, tol: float):
         s = 0.5 * (a + b)
         v, e = yield axis, s
         return s, v, e
+    for end, inner in ((b, b - tol), (a, a + tol)):
+        fe, ee = yield axis, end
+        fi, ei = yield axis, inner
+        if fe - fi > 5.0 * max(ee, ei):
+            return end, fe, ee
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, ec = yield axis, c
@@ -268,30 +281,34 @@ def _golden_max(axis: int, a: float, b: float, tol: float):
 
 
 def _ascend(feas: _Feasible, z: np.ndarray, prob: MaxProblem):
-    """Cyclic coordinate ascent with golden-section line searches (a generator).
+    """Cyclic coordinate ascent with line searches that skip searched lines (a generator).
 
     ``z`` is the start's row of the shared point array; the ascent moves it
     in place.  The first probe is the start itself: adding -0.0 leaves
     every coordinate's bits as they are, -0.0 included.
     """
     val, err = yield 0, -0.0
-    converged = False
+    searched = set()  # axes whose line through z has been searched
     for _ in range(prob.max_cycles):
         move = 0.0
         for axis in range(feas.dim):
+            if axis in searched:
+                continue
             s_lo, s_hi = feas.segment(z, axis)
             if s_hi - s_lo <= 0:
                 continue
             s, v, e = yield from _golden_max(axis, s_lo, s_hi, prob.tolerance)
+            searched.add(axis)
             if v >= val:  # accept only ascent steps
+                if z[axis] + s != z[axis]:  # every other axis now lies on a new line
+                    searched = {axis}
                 z[axis] += s
                 if v > val:  # an equal-valued step on a flat top is no movement
                     move = max(move, abs(s))
                 val, err = v, e
         if move < prob.tolerance:
-            converged = True
-            break
-    return z, val, err, converged
+            return z, val, err, True
+    return z, val, err, False
 
 
 def _floats(v, e):
@@ -349,9 +366,13 @@ def maximize(prob: MaxProblem) -> MaxResult:
     1000x the tolerance clears the ``unique`` flag instead of raising: it is
     evidence of a non-strict objective or of noise-dominated evaluations.
     With two or more starts, ``unique`` also needs two converged starts,
-    since the spread of a single limit is 0 and certifies nothing.
+    since the spread of a single limit is 0 and certifies nothing.  The end
+    tests probe the boundary, so a field undefined there raises ValueError.
     """
     feas = _Feasible(prob.feasible)
+    field = prob.objective
+    if isinstance(field, SpaceTimeField) and not field.t_lo < feas.lo[-1] <= feas.hi[-1] < field.t_hi:
+        raise ValueError(f"time outside the field's interval ({field.t_lo}, {field.t_hi})")
     Z = feas.starts(prob.multistart, prob.seed)
     runs = [_ascend(feas, z, prob) for z in Z]
     finals, evaluations = _lockstep(_evaluator(prob.objective), Z, runs)

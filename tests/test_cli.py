@@ -64,6 +64,34 @@ class TestMeans:
     def test_bad_lambda_is_input_error(self):
         assert main(["means", "--p", "1", "--a", "1", "--b", "2", "--lambda", "2"]) == 2
 
+    def test_exponents_still_read_inf(self, capsys):
+        assert main(["means", "--p", "inf", "--a", "1", "--b", "4", "--lambda", "0.5"]) == 0
+        assert capsys.readouterr().out.strip() == "4.0"
+        assert main(["means", "--ell", "--p", "inf", "--q", "inf"]) == 0
+        assert capsys.readouterr().out.strip() == "inf"
+
+
+class TestFloatOptions:
+    """Every float option refuses a non-finite value as a usage error (exit code 2)."""
+
+    # subcommand and option: an argument vector with the option's value as VALUE
+    ARGV = {
+        "check --alpha": ["check", "parabolic", "--field", "{gw}", "--domain", "{dom}", "--p", "-1", "--alpha=VALUE"],
+        "means --a": ["means", "--p", "0", "--a=VALUE", "--b", "4", "--lambda", "0.5"],
+        "means --b": ["means", "--p", "0", "--a", "1", "--b=VALUE", "--lambda", "0.5"],
+        "means --lambda": ["means", "--p", "0", "--a", "1", "--b", "4", "--lambda=VALUE"],
+        "regiomontanus --a": ["regiomontanus", "--a=VALUE", "--b", "4", "--constraint", "{dom}"],
+        "regiomontanus --b": ["regiomontanus", "--a", "1", "--b=VALUE", "--constraint", "{dom}"],
+    }
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("option", sorted(ARGV))
+    def test_non_finite_value_is_usage_error(self, option, value, gw_field, st_domain, capsys):
+        argv = [a.format(gw=gw_field, dom=st_domain).replace("VALUE", value) for a in self.ARGV[option]]
+        assert main(argv) == 2
+        name = option.split()[1]
+        assert f"argument {name}: invalid finite_float value: '{value}'" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_heat_kernel_almost_strict_passes(self, gw_field, st_domain, tmp_path):
@@ -307,6 +335,16 @@ class TestMaximize:
         assert main(["maximize", "--problem", prob]) == 2
         assert capsys.readouterr().err == "error: no start converged\n"
 
+    def test_time_range_touching_the_fields_interval_is_input_error(self, tmp_path, capsys):
+        prob = write(
+            tmp_path / "prob.json",
+            {"objective": {"kind": "conjugate0", "field": {"kind": "oracle_w", "a": -1, "b": 1}},
+             "feasible": {"kind": "spacetime_box", "body": {"kind": "interval", "a": -2, "b": 2},
+                          "t_lo": 1.0, "t_hi": 3.0}},
+        )
+        assert main(["maximize", "--problem", prob]) == 2
+        assert capsys.readouterr().err == "error: time outside the field's interval (1.0, inf)\n"
+
     def test_degenerate_picture_is_input_error(self, tmp_path):
         cons = write(tmp_path / "c.json", {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]})
         assert main(["regiomontanus", "--a", "2", "--b", "2", "--constraint", cons]) == 2
@@ -516,15 +554,21 @@ class TestDescriptors:
 
     def test_overflowing_exponent_reads_as_inf(self, tmp_path, capsys):
         reports = []
-        for ell in ('"inf"', "1e999"):
+        for ell in ('"inf"', "1e999", "9" * 400):
             path = tmp_path / "inst.json"
             inst = {**self.INSTANCE, "ell": "ELL", "grid_points": 64}
             path.write_text(json.dumps(inst).replace('"ELL"', ell))
             assert main(["bbl", "--instance", str(path)]) == 0
             reports.append(json.loads(capsys.readouterr().out))
             reports[-1]["manifest"].pop("wall_time_s")
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert reports[0]["marginal_exponent"] == 1.0
+
+    def test_grid_points_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**self.INSTANCE, "grid_points": "N"}).replace('"N"', "9" * 400))
+        assert main(["bbl", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: needs at least 8 grid points")
 
     def test_integral_float_counts_are_read(self, tmp_path, capsys):
         prob = write(tmp_path / "prob.json", {**self.PROBLEM, "multistart": 4.0, "seed": 7.0})
