@@ -55,6 +55,17 @@ def _load_json(path: str) -> dict:
         return json.load(fh, parse_constant=_refuse_constant)
 
 
+def _join_exponents(argv: list[str]) -> list[str]:
+    """``--p -inf`` as ``--p=-inf``: argparse takes a lone ``-inf`` for an option, not a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--p", "--q") and token.strip().lower() in ("-inf", "-infinity"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def finite_float(text: str) -> float:
     """A float option; argparse reports a non-finite one as invalid (exit code 2)."""
     return number(float(text))
@@ -213,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_exponents(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     t0 = time.monotonic()

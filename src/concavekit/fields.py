@@ -372,8 +372,8 @@ class SpaceTimeField(Descriptor):
         """
         P, single_x = _pts(x, self.dim)
         T = np.asarray(t, dtype=float)
-        # written so that NaN times fail too
-        if (~((T > self.t_lo) & (T < self.t_hi))).any():
+        # a NaN time makes min and max NaN, so it fails too; an empty batch passes
+        if T.size and not (T.min() > self.t_lo and T.max() < self.t_hi):
             raise ValueError(f"time outside the field's interval ({self.t_lo}, {self.t_hi})")
         if T.shape != (len(P),):
             T = np.broadcast_to(T, (len(P),))

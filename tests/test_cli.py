@@ -71,6 +71,34 @@ class TestMeans:
         assert capsys.readouterr().out.strip() == "inf"
 
 
+class TestMinusInfinityToken:
+    """``-inf`` given as its own token is an exponent, as in ``--p=-inf``."""
+
+    @pytest.mark.parametrize("token", ["-inf", "-Infinity"])
+    def test_means(self, token, capsys):
+        assert main(["means", "--p", token, "--a", "1", "--b", "4", "--lambda", "0.5"]) == 0
+        assert capsys.readouterr().out == "1.0\n"
+
+    def test_means_ell(self, capsys):
+        # read, then refused by holder_exponent as --q=-inf is: p + q < 0
+        errors = []
+        for q in (["--q", "-inf"], ["--q=-inf"]):
+            assert main(["means", "--ell", "--p", "2", *q]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: holder_exponent requires p + q >= 0\n"] * 2
+
+    def test_check(self, tmp_path):
+        field = write(tmp_path / "field.json", {"kind": "indicator", "body": {"kind": "interval", "a": -1, "b": 1}})
+        reports = []
+        for p in (["--p", "-inf"], ["--p=-inf"]):
+            out = tmp_path / "rep.json"
+            assert main(["check", "concavity", "--field", field, *p, "--samples", "200", "--out", str(out)]) == 0
+            reports.append(re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": null', out.read_text()))
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["manifest"]["config"]["p"] == "-inf" and report["verdict"] == "pass"
+
+
 class TestFloatOptions:
     """Every float option refuses a non-finite value as a usage error (exit code 2)."""
 

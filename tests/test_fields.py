@@ -20,6 +20,7 @@ from concavekit.fields import (
     PullbackField,
     RadialProfile,
     ScalarField,
+    SpaceTimeField,
     TentField,
     conjugate0,
     conjugate0_inverse,
@@ -336,6 +337,38 @@ class TestAuxiliaryFields:
         assert g([0.6]) == 0.0
         lo, hi = g.support.bounding_box()
         assert (lo[0], hi[0]) == (-0.5, 0.5)
+
+
+class TestTimeInterval:
+    """A space-time field refuses a time outside its open interval, NaN included.
+
+    ``test_descriptors`` sends NaN, infinite times and t_lo to every field
+    kind; no kind has a finite t_hi, so this field's interval is (0.5, 2).
+    """
+
+    class Window(SpaceTimeField):
+        dim, t_lo, t_hi = 1, 0.5, 2.0
+
+        def _eval(self, P, T):
+            return T + P[:, 0]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5, 2.0, 0.1, 3.0])
+    def test_time_outside_is_refused(self, bad):
+        phi, X = self.Window(), np.zeros((4, 1))
+        for call in (phi, phi.eval_with_error):
+            for t in (bad, [bad] * 4, [0.7, 1.0, bad, 1.9]):
+                with pytest.raises(ValueError, match=r"time outside the field's interval \(0.5, 2.0\)"):
+                    call(X, t)
+            with pytest.raises(ValueError, match="time outside"):
+                call(0.0, bad)
+
+    def test_times_inside_and_an_empty_batch_pass(self):
+        phi = self.Window()
+        assert phi(0.25, 0.5000001) == 0.25 + 0.5000001
+        assert phi.eval_with_error(0.0, 1.9999999) == (1.9999999, 0.0)
+        assert phi(np.zeros((3, 1)), [0.7, 1.0, 1.9]).tolist() == [0.7, 1.0, 1.9]
+        values, errors = phi.eval_with_error(np.zeros((0, 1)), np.zeros(0))
+        assert values.shape == errors.shape == (0,)
 
 
 class TestFieldJson:
