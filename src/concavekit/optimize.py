@@ -44,11 +44,16 @@ non-degenerate axes, drawn in batches of the smallest power of two, at
 least 8, that holds them, and at most 64 batches.  Those points equal
 ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``'s bit for bit, so
 a seed names the same starts as it did when scipy drew them.  A feasible
-set with more than 32 non-degenerate axes raises ``ValueError``.
+set with more than 32 non-degenerate axes raises ``ValueError``.  A
+box-like set (a ``box``, an ``interval``, a ``spacetime_box`` over one) is
+closed per-axis bounds: a batch is filtered in one comparison, and a
+segment's ends are its bounds, bisected only where z + (hi - z) rounds
+past one.  Other sets test each start and bisect by membership.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,8 +96,8 @@ def feasible_from_json(fspec: dict):
     if isinstance(fspec, dict) and fspec.get("kind") == "box":
         check_keys(fspec, ("kind", *Box.keys), "box")
         lo, hi = (np.atleast_1d(read_key(fspec, k, Box.keys[k], "box")) for k in ("lo", "hi"))
-        if (lo < hi).all():
-            return Box(lo, hi)
+        if lo.shape != hi.shape or (lo < hi).all():
+            return Box(lo, hi)  # which refuses bounds of unequal length
         return (lo, hi)  # segment-like constraint with zero-width axes
     return from_json(fspec, (ConvexBody, SpaceTimeBox))
 
@@ -152,20 +157,25 @@ class _Feasible:
     Besides bodies and regions, a raw ``(lo, hi)`` pair is accepted as a box
     that may be degenerate along some axes (e.g. a vertical segment); proper
     bodies keep their nonempty-interior invariant.
+
+    A box-like set (the pair, a ``Box`` or ``Interval``, a ``SpaceTimeBox``
+    over one) is ``bounds``, closed per axis with its ``contains`` tolerance:
+    starts pass one vectorized comparison, and a segment tests its moving
+    coordinate alone.  Other sets call their ``contains``.
     """
 
     def __init__(self, feasible):
+        self.bounds = widen = None  # widen: a box-like set's contains tolerance per axis
         if isinstance(feasible, tuple) and len(feasible) == 2:
             lo = np.atleast_1d(np.asarray(feasible[0], dtype=float))
             hi = np.atleast_1d(np.asarray(feasible[1], dtype=float))
             if (lo > hi).any() or (lo == hi).all():
                 raise ValueError("degenerate box needs lo <= hi with some extent")
             self.lo, self.hi = lo, hi
-            tol = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-            bounds = list(zip((lo - tol).tolist(), (hi + tol).tolist()))
-            # in Python floats, as Box.contains: numpy's set-up costs more
-            # than the comparisons of a few coordinates
-            self.member = lambda z: all(a <= c <= b for c, (a, b) in zip(z.tolist(), bounds))
+            widen = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
+        elif type(feasible) in (Box, Interval):
+            self.lo, self.hi = feasible.bounding_box()
+            widen = 1e-12
         elif isinstance(feasible, ConvexBody):
             lo, hi = feasible.bounding_box()
             self.lo = np.asarray(lo, dtype=float)
@@ -175,13 +185,18 @@ class _Feasible:
             blo, bhi = feasible.body.bounding_box()
             self.lo = np.append(blo, feasible.t_lo)
             self.hi = np.append(bhi, feasible.t_hi)
-            self.member = lambda z: feasible.contains(z[:-1], z[-1])
+            if type(feasible.body) in (Box, Interval):
+                widen = np.append(np.full(feasible.dim, 1e-12), 0.0)  # closed times
+            else:
+                self.member = lambda z: feasible.contains(z[:-1], z[-1])
         elif isinstance(feasible, ParabolicRegion):
             self.lo = np.append(feasible.x_lo, feasible.t_lo)
             self.hi = np.append(feasible.x_hi, feasible.t_hi)
             self.member = lambda z: feasible.contains(z[:-1], z[-1])
         else:
             raise ValueError("feasible set must be a body, space-time box, or region")
+        if widen is not None:
+            self.bounds = (self.lo - widen).tolist(), (self.hi + widen).tolist()
         self.dim = len(self.lo)
         self.span = self.hi - self.lo
         self.diameter = float(np.linalg.norm(self.span))
@@ -196,11 +211,13 @@ class _Feasible:
             u = draw(batch)
             pts = np.tile(self.lo.astype(float), (len(u), 1))
             pts[:, active] = self.lo[active] + u * self.span[active]
-            for z in pts:
-                if self.member(z):
-                    out.append(z)
-                    if len(out) == count:
-                        return np.array(out)
+            if self.bounds is None:
+                members = filter(self.member, pts)
+            else:
+                members = pts[((pts >= self.bounds[0]) & (pts <= self.bounds[1])).all(axis=1)]
+            out.extend(itertools.islice(members, count - len(out)))
+            if len(out) == count:
+                return np.array(out)
         if not out:
             raise ConvergenceError("found no feasible starting point")
         return np.array(out)
@@ -210,15 +227,20 @@ class _Feasible:
 
         The restriction of a convex feasible set to a line is an interval,
         so bisecting between a known-feasible and a known-infeasible
-        parameter localizes each endpoint to 1e-12 relative.
+        parameter localizes each endpoint to 1e-12 relative.  On a box-like
+        set it runs only where z + (hi - z) rounds past the bound.
         """
         if self.span[axis] == 0:
             return 0.0, 0.0
-
-        def feas(s):
-            w = z.copy()
-            w[axis] += s
-            return self.member(w)
+        if self.bounds is None:
+            def feas(s):
+                w = z.copy()
+                w[axis] += s
+                return self.member(w)
+        else:
+            low, high, c = self.bounds[0][axis], self.bounds[1][axis], float(z[axis])
+            def feas(s):
+                return low <= c + s <= high
 
         out = []
         for sign in (-1.0, 1.0):
@@ -424,10 +446,17 @@ def maximize(prob: MaxProblem) -> MaxResult:
     evidence of a non-strict objective or of noise-dominated evaluations.
     With two or more starts, ``unique`` also needs two converged starts,
     since the spread of a single limit is 0 and certifies nothing.  The end
-    tests probe the boundary, so a field undefined there raises ValueError.
+    tests probe the boundary, so a field undefined there raises ValueError,
+    as does a field whose points do not have the feasible set's dimension.
     """
     feas = _Feasible(prob.feasible)
     field = prob.objective
+    if isinstance(field, (SpaceTimeField, ScalarField)):
+        spacetime = isinstance(field, SpaceTimeField)
+        need, kind = field.dim + spacetime, "space-time" if spacetime else "scalar"
+        if feas.dim != need:
+            raise ValueError(f"a {kind} field of dim {field.dim} needs {need} coordinates, "
+                             f"but the feasible set has {feas.dim}")
     if isinstance(field, SpaceTimeField) and not field.t_lo < feas.lo[-1] <= feas.hi[-1] < field.t_hi:
         raise ValueError(f"time outside the field's interval ({field.t_lo}, {field.t_hi})")
     Z = feas.starts(prob.multistart, prob.seed)

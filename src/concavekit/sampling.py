@@ -5,11 +5,16 @@ bit generator keyed by a 64-bit seed, so identical (seed, sample-count)
 configurations reproduce bit-identical streams across platforms and runs.
 The optimizer's start points come from :func:`sobol`, a scrambled Sobol
 sequence that reproduces ``scipy.stats.qmc.Sobol`` without importing scipy.
+It packs each column of a scrambling matrix into one integer and makes a
+direction number only when a draw first reaches it, so eight points cost
+the seed's random draws and little more.
 """
 
 from __future__ import annotations
 
 import functools
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -47,11 +52,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 @functools.cache
-def _sobol_direction_bits() -> np.ndarray:
-    """The unscrambled direction numbers' bits, shape (32, bits, bits), as floats.
+def _sobol_tables():
+    """(set bits, LSB-first weights, MSB-first weights), built on first use.
 
-    Entry [d, j, i] is bit i, most significant first, of the left-aligned
-    v_j of dimension d + 1 (Bratley & Fox's recurrence).
+    Set bits [d][j] are the bit positions, most significant first, of the
+    left-aligned v_j of dimension d + 1 (Bratley & Fox's recurrence).
     """
     rows = [[1] * _SOBOL_BITS]
     for poly, vinit in zip(_SOBOL_POLY, _SOBOL_VINIT):
@@ -63,9 +68,12 @@ def _sobol_direction_bits() -> np.ndarray:
                     new ^= v[j - k] << k
             v.append(new)
         rows.append(v)
-    msb_first = np.arange(_SOBOL_BITS - 1, -1, -1)
-    left_aligned = np.array(rows, dtype=np.int64) << msb_first
-    return (left_aligned[:, :, None] >> msb_first & 1).astype(float)
+    # m_j < 2**(j + 1), left-aligned by bits - 1 - j places
+    set_bits = tuple(
+        tuple(tuple(i for i in range(j + 1) if m >> (j - i) & 1) for j, m in enumerate(v)) for v in rows
+    )
+    lsb_first = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
+    return set_bits, lsb_first, lsb_first[::-1].copy()
 
 
 def sobol(d: int, seed):
@@ -78,32 +86,35 @@ def sobol(d: int, seed):
     ``np.random.default_rng(seed)`` in scipy's order, then the shift as the
     first point and Gray-code order after it.  At most 32 dimensions and
     2**30 points.
+    Scrambled direction j is the XOR of the packed matrix columns at the set
+    bits of v_j, made when a draw first reaches point 2**j.
     """
     if not 1 <= d <= len(_SOBOL_POLY) + 1:
         raise ValueError(f"Sobol points need 1 to {len(_SOBOL_POLY) + 1} dimensions, not {d}")
     bits = _SOBOL_BITS
+    set_bits, lsb_first, msb_first = _sobol_tables()  # zip with d columns stops at d
     rng = np.random.default_rng(seed)
     # the draws keep scipy's shapes, dtype and order, so the stream stays the same
-    shift_bits = rng.integers(2, size=(d, bits), dtype=np.uint32)
-    shift = shift_bits @ (np.uint32(1) << np.arange(bits, dtype=np.uint32))
-    # lower-triangular with a unit diagonal
-    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32), -1) + np.eye(bits)
-    # linear matrix scrambling: each direction number's bits times the matrix,
-    # modulo 2; the sums of at most 30 products are exact in floats
-    scrambled = _sobol_direction_bits()[:d] @ ltm.transpose(0, 2, 1) % 2
-    directions = (scrambled @ 2.0 ** np.arange(bits - 1, -1, -1)).astype(np.uint32).T
-    quasi, drawn = np.zeros(d, dtype=np.uint32), 0
+    quasi = rng.integers(2, size=(d, bits), dtype=np.uint32) @ lsb_first  # the shift
+    # column i, row r as bit bits - 1 - r: the strictly lower part of the
+    # draw, which scipy keeps with np.tril, and the unit diagonal
+    packed = msb_first @ rng.integers(2, size=(d, bits, bits), dtype=np.uint32)
+    columns = (packed & (msb_first - 1) | msb_first).tolist()
+    # row 0 is point 0's step from the shift; row j + 1 is direction j
+    table, quasi, drawn = [[0] * d], quasi.tolist(), 0
 
     def draw(n: int) -> np.ndarray:
         nonlocal quasi, drawn
         if drawn + n > 1 << bits:
             raise ValueError(f"at most 2**{bits} Sobol points can be drawn")
-        # point 0 is the shift; point k > 0 flips the direction of k's lowest set bit
-        k = np.arange(drawn, drawn + n)
-        steps = directions[np.frexp(k & -k)[1] - 1]
-        steps[k == 0] = shift
-        pts = np.bitwise_xor.accumulate(steps, axis=0) ^ quasi
-        quasi, drawn = (pts[-1] if n else quasi), drawn + n
-        return pts * 2.0**-bits
+        for j in range(len(table) - 1, (drawn + n - 1).bit_length()):
+            table.append([reduce(xor, map(c.__getitem__, b[j]), 0) for c, b in zip(columns, set_bits)])
+        pts = []
+        for k in range(drawn, drawn + n):
+            # point k > 0 flips the direction of k's lowest set bit
+            quasi = list(map(xor, quasi, table[(k & -k).bit_length()]))
+            pts.append(quasi)
+        drawn += n
+        return np.array(pts, dtype=float).reshape(n, d) * 2.0**-bits
 
     return draw

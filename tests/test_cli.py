@@ -373,6 +373,29 @@ class TestMaximize:
         assert main(["maximize", "--problem", prob]) == 2
         assert capsys.readouterr().err == "error: time outside the field's interval (1.0, inf)\n"
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([0, 0, 1], [0, 0, 3]), ([0, 1, 0], [0, 3, 0])],
+        ids=["time_last", "time_zero"],
+    )
+    def test_feasible_dimension_mismatch_is_input_error(self, lo, hi, tmp_path, capsys):
+        prob = write(
+            tmp_path / "prob.json",
+            {"objective": {"kind": "oracle_p", "a": 1, "b": 4}, "feasible": {"kind": "box", "lo": lo, "hi": hi}},
+        )
+        assert main(["maximize", "--problem", prob]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a space-time field of dim 1 needs 2 coordinates, but the feasible set has 3\n"
+
+    def test_box_bounds_of_unequal_length_are_input_error(self, tmp_path, capsys):
+        prob = write(
+            tmp_path / "prob.json",
+            {"objective": {"kind": "oracle_p", "a": 1, "b": 4},
+             "feasible": {"kind": "box", "lo": [0, 1], "hi": [0, 3, 4]}},
+        )
+        assert main(["maximize", "--problem", prob]) == 2
+        assert capsys.readouterr().err == "error: problem.feasible: box bounds must be 1-d arrays of equal length\n"
+
     def test_degenerate_picture_is_input_error(self, tmp_path):
         cons = write(tmp_path / "c.json", {"kind": "box", "lo": [0, 0.5], "hi": [0, 5]})
         assert main(["regiomontanus", "--a", "2", "--b", "2", "--constraint", cons]) == 2

@@ -320,6 +320,45 @@ class TestLineSearch:
         r = maximize(MaxProblem(objective=field, feasible=SpaceTimeBox(Interval(-2.0, 2.0), 1.5, 3.0)))
         assert r.argmax[1] == 1.5 and r.unique
 
+    @pytest.mark.parametrize(
+        "field, feasible, message",
+        [
+            (
+                PoissonIndicatorField(1.0, 4.0),
+                (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 3.0])),
+                "a space-time field of dim 1 needs 2 coordinates, but the feasible set has 3",
+            ),
+            (
+                PoissonIndicatorField(1.0, 4.0),
+                (np.array([0.0, 1.0, 0.0]), np.array([0.0, 3.0, 0.0])),
+                "a space-time field of dim 1 needs 2 coordinates, but the feasible set has 3",
+            ),
+            (
+                GaussWeierstrassKernel(2),
+                SpaceTimeBox(Interval(-1.0, 1.0), 0.5, 2.0),
+                "a space-time field of dim 2 needs 3 coordinates, but the feasible set has 2",
+            ),
+            (
+                GaussWeierstrassSlice(2, 1.0),
+                Interval(-1.0, 1.0),
+                "a scalar field of dim 2 needs 2 coordinates, but the feasible set has 1",
+            ),
+        ],
+        ids=["oracle_p_time_last", "oracle_p_time_zero", "kernel", "scalar"],
+    )
+    def test_dimension_mismatch_is_refused_before_the_starts(self, field, feasible, message, monkeypatch):
+        monkeypatch.setattr(optimize, "sobol", lambda d, seed: pytest.fail("drew starts before the refusal"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            maximize(MaxProblem(objective=field, feasible=feasible))
+
+    def test_box_bounds_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="problem.feasible: box bounds must be 1-d arrays of equal length"):
+            from_json(
+                {"objective": {"kind": "oracle_p", "a": 1, "b": 4},
+                 "feasible": {"kind": "box", "lo": [0, 1], "hi": [0, 3, 4]}},
+                MaxProblem,
+            )
+
 
 class TestLockstep:
     """A field objective is evaluated once per round, on a batch of starts."""
@@ -392,12 +431,155 @@ class TestSobol:
             for n in (8, 8, 8, 64):
                 assert np.array_equal(draw(n), engine.random(n)), (d, n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 32),
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(
+            st.one_of(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 9, 16, 31, 33, 64, 127, 129, 256]), st.integers(0, 1024)),
+            max_size=6,
+        ),
+    )
+    def test_draw_sizes_match_scipy(self, d, seed, sizes):
+        import warnings
+
+        from scipy.stats import qmc
+
+        engine = qmc.Sobol(d, scramble=True, seed=seed)
+        draw = sobol(d, seed)
+        total = 0
+        for n in sizes:
+            n = min(n, 1024 - total)
+            total += n
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # n not a power of two
+                expected = engine.random(n)
+            got = draw(n)
+            assert got.shape == (n, d) and got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (n, total)
+
     def test_more_than_32_axes_is_refused(self):
         with pytest.raises(ValueError, match="32"):
             sobol(33, 0)
         box = (np.zeros(33), np.ones(33))
         with pytest.raises(ValueError, match="32"):
             maximize(MaxProblem(objective=lambda z: -float(z @ z), feasible=box))
+
+
+def _old_member(feasible):
+    """The membership test each box-like set had before its closed bounds."""
+    if isinstance(feasible, tuple):
+        lo, hi = (np.asarray(b, dtype=float) for b in feasible)
+        tol = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
+        bounds = list(zip((lo - tol).tolist(), (hi + tol).tolist()))
+        return lambda z: all(a <= c <= b for c, (a, b) in zip(z.tolist(), bounds))
+    if isinstance(feasible, SpaceTimeBox):
+        return lambda z: feasible.contains(z[:-1], z[-1])
+    return lambda z: feasible.contains(z, tol=1e-12)
+
+
+def _old_segment(feas, member, z, axis):
+    """``_Feasible.segment`` by membership bisection over the whole point."""
+    if feas.span[axis] == 0:
+        return 0.0, 0.0
+
+    def inside(s):
+        w = z.copy()
+        w[axis] += s
+        return member(w)
+
+    out = []
+    for sign in (-1.0, 1.0):
+        s_max = sign * (feas.hi[axis] - z[axis] if sign > 0 else z[axis] - feas.lo[axis])
+        if inside(s_max):
+            out.append(s_max)
+            continue
+        a, b = 0.0, s_max
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            if inside(m):
+                a = m
+            else:
+                b = m
+            if abs(b - a) <= 1e-12 * (1.0 + abs(feas.span[axis])):
+                break
+        out.append(a)
+    return out[0], out[1]
+
+
+def _old_starts(feas, member, count, seed):
+    out = []
+    active = feas.span > 0
+    draw = sobol(int(active.sum()), seed)
+    batch = 1 << max(3, (count - 1).bit_length())
+    for _ in range(64):
+        u = draw(batch)
+        pts = np.tile(feas.lo.astype(float), (len(u), 1))
+        pts[:, active] = feas.lo[active] + u * feas.span[active]
+        for z in pts:
+            if member(z):
+                out.append(z)
+                if len(out) == count:
+                    return np.array(out)
+    return np.array(out)
+
+
+@st.composite
+def box_like(draw):
+    """A box-like feasible set at a scale up to 1e9, and a point inside it."""
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6, 1e9]))
+    kind = draw(st.sampled_from(["pair", "interval", "box", "st_interval", "st_box"]))
+    n = {"pair": 2, "interval": 1, "box": 3, "st_interval": 2, "st_box": 3}[kind]
+    lo = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))) * scale
+    width = np.array(draw(st.lists(st.floats(1e-9, 3.0), min_size=n, max_size=n))) * scale
+    if kind == "pair":
+        width[draw(st.integers(0, n - 1))] = 0.0  # a segment
+    if kind.startswith("st"):
+        lo[-1] = abs(lo[-1]) + 1e-3 * scale  # positive times
+    hi = lo + width
+    feasible = {
+        "pair": lambda: (lo, hi),
+        "interval": lambda: Interval(lo[0], hi[0]),
+        "box": lambda: Box(lo, hi),
+        "st_interval": lambda: SpaceTimeBox(Interval(lo[0], hi[0]), lo[1], hi[1]),
+        "st_box": lambda: SpaceTimeBox(Box(lo[:-1], hi[:-1]), lo[-1], hi[-1]),
+    }[kind]()
+    # ends and their neighbours, where lo + (hi - lo) may round past hi
+    u = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1e-17, 1.0 - 1e-16]), st.floats(0.0, 1.0)), min_size=n, max_size=n)))
+    return feasible, lo + u * width
+
+
+class TestBoxLikeBounds:
+    """Closed per-axis bounds give the bits of the membership bisection they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=box_like())
+    def test_segment_matches_membership_bisection(self, case):
+        feasible, z = case
+        feas, member = optimize._Feasible(feasible), _old_member(feasible)
+        assert feas.bounds is not None
+        if not member(z):  # the ascent moves only feasible points
+            return
+        for axis in range(feas.dim):
+            got, want = feas.segment(z, axis), _old_segment(feas, member, z, axis)
+            assert [float(s).hex() for s in got] == [float(s).hex() for s in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=box_like(), count=st.integers(1, 20), seed=st.integers(0, 2**32))
+    def test_starts_match_membership_filter(self, case, count, seed):
+        feasible, _ = case
+        feas = optimize._Feasible(feasible)
+        got, want = feas.starts(count, seed), _old_starts(feas, _old_member(feasible), count, seed)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_time_end_bisection_is_exercised(self):
+        # 0.12 + (1.7 - 0.12) rounds past 1.7, and the time end has no tolerance
+        stb = SpaceTimeBox(Interval(-1.0, 1.0), 0.1, 1.7)
+        feas, member = optimize._Feasible(stb), _old_member(stb)
+        z = np.array([0.0, 0.12])
+        assert not member(z + [0.0, 1.7 - 0.12])
+        got = feas.segment(z, 1)
+        assert got == _old_segment(feas, member, z, 1) and got[1] < 1.7 - 0.12
 
 
 class TestPinnedMaxResults:
