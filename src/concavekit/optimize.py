@@ -96,8 +96,8 @@ def feasible_from_json(fspec: dict):
     if isinstance(fspec, dict) and fspec.get("kind") == "box":
         check_keys(fspec, ("kind", *Box.keys), "box")
         lo, hi = (np.atleast_1d(read_key(fspec, k, Box.keys[k], "box")) for k in ("lo", "hi"))
-        if lo.shape != hi.shape or (lo < hi).all():
-            return Box(lo, hi)  # which refuses bounds of unequal length
+        if lo.ndim > 1 or lo.shape != hi.shape or (lo < hi).all():
+            return Box(lo, hi)  # which refuses nested bounds or bounds of unequal length
         return (lo, hi)  # segment-like constraint with zero-width axes
     return from_json(fspec, (ConvexBody, SpaceTimeBox))
 

@@ -12,8 +12,7 @@ the seed's random draws and little more.
 
 from __future__ import annotations
 
-import functools
-from functools import reduce
+from functools import cache, reduce
 from operator import xor
 
 import numpy as np
@@ -51,7 +50,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(np.uint64(seed))))
 
 
-@functools.cache
+@cache
 def _sobol_tables():
     """(set bits, LSB-first weights, MSB-first weights), built on first use.
 
@@ -92,7 +91,7 @@ def sobol(d: int, seed):
     if not 1 <= d <= len(_SOBOL_POLY) + 1:
         raise ValueError(f"Sobol points need 1 to {len(_SOBOL_POLY) + 1} dimensions, not {d}")
     bits = _SOBOL_BITS
-    set_bits, lsb_first, msb_first = _sobol_tables()  # zip with d columns stops at d
+    set_bits, lsb_first, msb_first = _sobol_tables()
     rng = np.random.default_rng(seed)
     # the draws keep scipy's shapes, dtype and order, so the stream stays the same
     quasi = rng.integers(2, size=(d, bits), dtype=np.uint32) @ lsb_first  # the shift
@@ -105,9 +104,10 @@ def sobol(d: int, seed):
 
     def draw(n: int) -> np.ndarray:
         nonlocal quasi, drawn
-        if drawn + n > 1 << bits:
-            raise ValueError(f"at most 2**{bits} Sobol points can be drawn")
+        if n < 0 or drawn + n > 1 << bits:
+            raise ValueError(f"cannot draw {n} more Sobol points after {drawn}: at most 2**{bits} in all")
         for j in range(len(table) - 1, (drawn + n - 1).bit_length()):
+            # zip stops at the d columns
             table.append([reduce(xor, map(c.__getitem__, b[j]), 0) for c, b in zip(columns, set_bits)])
         pts = []
         for k in range(drawn, drawn + n):

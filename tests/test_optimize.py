@@ -351,11 +351,13 @@ class TestLineSearch:
         with pytest.raises(ValueError, match=f"^{message}$"):
             maximize(MaxProblem(objective=field, feasible=feasible))
 
-    def test_box_bounds_of_unequal_length_are_refused(self):
+    @pytest.mark.parametrize(
+        "lo, hi", [([0, 1], [0, 3, 4]), ([[0, 1]], [[0, 3]])], ids=["unequal_length", "nested"]
+    )
+    def test_box_bounds_must_be_flat_and_of_equal_length(self, lo, hi):
         with pytest.raises(ValueError, match="problem.feasible: box bounds must be 1-d arrays of equal length"):
             from_json(
-                {"objective": {"kind": "oracle_p", "a": 1, "b": 4},
-                 "feasible": {"kind": "box", "lo": [0, 1], "hi": [0, 3, 4]}},
+                {"objective": {"kind": "oracle_p", "a": 1, "b": 4}, "feasible": {"kind": "box", "lo": lo, "hi": hi}},
                 MaxProblem,
             )
 
@@ -457,6 +459,13 @@ class TestSobol:
             got = draw(n)
             assert got.shape == (n, d) and got.dtype == expected.dtype
             assert np.array_equal(got, expected), (n, total)
+
+    def test_negative_draw_is_refused(self):
+        draw = sobol(2, 0)
+        first = draw(3)
+        with pytest.raises(ValueError, match="cannot draw -1 more Sobol points after 3"):
+            draw(-1)
+        assert np.array_equal(np.vstack([first, draw(5)]), sobol(2, 0)(8))
 
     def test_more_than_32_axes_is_refused(self):
         with pytest.raises(ValueError, match="32"):
