@@ -160,8 +160,8 @@ class _Feasible:
 
     A box-like set (the pair, a ``Box`` or ``Interval``, a ``SpaceTimeBox``
     over one) is ``bounds``, closed per axis with its ``contains`` tolerance:
-    starts pass one vectorized comparison, and a segment tests its moving
-    coordinate alone.  Other sets call their ``contains``.
+    starts pass one vectorized comparison, and a segment of a feasible z
+    tests its moving coordinate alone.  Other sets call their ``contains``.
     """
 
     def __init__(self, feasible):
