@@ -1,15 +1,16 @@
 """Space convolution Gamma(x, t) = integral of phi(x - y, t) psi(y) dy.
 
-The engine integrates over the compact support of psi with a midpoint tensor
-grid (membership-masked for non-box supports) or Monte Carlo beyond two
-dimensions.  Error estimates combine a Richardson comparison at half
-resolution with a boundary-layer term for masked supports; box-like supports
-align exactly with the grid and carry no masking error.
+The engine integrates over the compact support of psi with one scheme, a
+midpoint tensor grid (membership-masked for non-box supports), in n <= 3
+dimensions; n >= 4 is refused until a validated rule exists.  Error estimates
+combine a Richardson comparison at half resolution with a boundary-layer term
+for masked supports; box-like supports align exactly with the grid and carry
+no masking error.
 
-The nodes (masked grids with psi's values, or the seeded Monte Carlo sample)
-are built once per quadrature plan and psi; a batch of points (x, t) is
-evaluated through them in row blocks of bounded size.  ``ConvolutionField``,
-``convolve_at`` and the ``convolve`` subcommand all take this one path.
+The nodes (masked grids with psi's values) are built once per quadrature plan
+and psi; a batch of points (x, t) is evaluated through them in row blocks of
+bounded size.  ``ConvolutionField``, ``convolve_at`` and the ``convolve``
+subcommand all take this one path.
 
 For interval indicators in one dimension the heat and Poisson convolutions
 have closed forms (erf and arctan antiderivatives).  These serve as oracles
@@ -18,7 +19,7 @@ concavity checks.
 
 Grid sums go through numpy's pairwise reduction along each row, so results
 are bit-stable for a fixed grid and do not depend on the batch a point is
-in; Monte Carlo draws from a seeded Philox stream.
+in.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .fields import (
     SpaceTimeField,
 )
 from .geometry import Box, ConvexBody, Key, Polytope, Record, midpoint_grid, number
-from .sampling import make_rng
 
 __all__ = [
     "QuadratureSpec",
@@ -60,35 +60,34 @@ class ResolutionError(RuntimeError):
     """A quadrature or sup-convolution grid is too coarse for the answer asked of it."""
 
 
+# default midpoints per axis by dimension n: 256**1, 96**2 and 32**3 nodes
+_POINTS_PER_AXIS = {1: 256, 2: 96, 3: 32}
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration plan over a compact support body.
+    """Integration plan over a compact support body: a midpoint tensor grid.
 
-    ``scheme`` is "tensor_grid" (midpoint rule, >= 8 points per axis) or
-    "monte_carlo".  The default resolution is 256 points per axis in 1-d and
-    96 in 2-d; Monte Carlo is the default beyond 2-d, with ``mc_samples``
-    points drawn from the stream of seed 0.
+    ``points_per_axis`` (at least 8) defaults to 256 in 1-d, 96 in 2-d and
+    32 in 3-d.  A support of dimension 4 or more is refused (ValueError):
+    no rule with validated error bars exists there.
     """
 
     support: ConvexBody
-    scheme: str = "tensor_grid"
     points_per_axis: int = 0
-    mc_samples: int = 200_000
     error_budget: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in ("tensor_grid", "monte_carlo"):
-            raise ValueError(f"unknown quadrature scheme: {self.scheme!r}")
-        if self.scheme == "tensor_grid":
-            ppa = self.points_per_axis or (256 if self.support.dim == 1 else 96)
-            if ppa < 8:
-                raise ValueError("tensor grids need at least 8 points per axis")
-            object.__setattr__(self, "points_per_axis", ppa)
+        if self.support.dim not in _POINTS_PER_AXIS:
+            raise ValueError(f"quadrature supports dimensions 1 to 3, not {self.support.dim}")
+        ppa = self.points_per_axis or _POINTS_PER_AXIS[self.support.dim]
+        if ppa < 8:
+            raise ValueError("tensor grids need at least 8 points per axis")
+        object.__setattr__(self, "points_per_axis", ppa)
 
     @classmethod
     def default_for(cls, support: ConvexBody, **kw) -> "QuadratureSpec":
-        scheme = "tensor_grid" if support.dim <= 2 else "monte_carlo"
-        return cls(support=support, scheme=scheme, **kw)
+        return cls(support=support, **kw)
 
 
 @dataclass(frozen=True)
@@ -113,14 +112,12 @@ def _terms(phi: SpaceTimeField, X, T, Y, w) -> np.ndarray:
 
 
 class _Nodes:
-    """The integration nodes of one QuadratureSpec and data psi, built once.
+    """The midpoint-grid nodes of one QuadratureSpec and data psi, built once.
 
-    ``levels`` holds (nodes, psi at the nodes, weight) triples.  A tensor grid
-    has the masked midpoints at full and half resolution, weighted by their
-    cell volume, and for supports that do not align with the grid the
-    quarter-resolution nodes whose peak term times ``boundary`` bounds the
-    masking error.  Monte Carlo has the seeded sample, psi set to 0 outside
-    the support, weighted by the volume of the bounding box.
+    ``levels`` holds (nodes, psi at the nodes, cell volume) triples: the
+    masked midpoints at full and half resolution, and for supports that do
+    not align with the grid the quarter-resolution nodes whose peak term
+    times ``boundary`` bounds the masking error.
     """
 
     def __init__(self, psi: ScalarField, quad: QuadratureSpec):
@@ -130,20 +127,15 @@ class _Nodes:
             slo, shi = psi.support.bounding_box()
             if not (np.allclose(slo, lo) and np.allclose(shi, hi)):
                 raise ValueError("psi support does not match the quadrature support")
-        if quad.scheme == "monte_carlo":
-            pts = make_rng(0).uniform(lo, hi, size=(quad.mc_samples, support.dim))
-            w = np.where(support.contains_many(pts), psi(pts), 0.0)
-            self.levels = [(pts, w, float(np.prod(hi - lo)))]
-        else:
-            ppa = quad.points_per_axis
-            aligned = isinstance(support, Box) or (isinstance(support, Polytope) and len(lo) == 1)
-            h = float(np.max((hi - lo) / ppa))
-            self.boundary = 0.0 if aligned else support.surface_area() * h
-            self.levels = []
-            for n in [ppa, max(8, ppa // 2)] + [max(8, ppa // 4)] * (not aligned):
-                pts, cell = midpoint_grid(lo, hi, n)
-                Y = pts[support.contains_many(pts)]
-                self.levels.append((Y, psi(Y), cell))
+        ppa = quad.points_per_axis
+        aligned = isinstance(support, Box) or (isinstance(support, Polytope) and len(lo) == 1)
+        h = float(np.max((hi - lo) / ppa))
+        self.boundary = 0.0 if aligned else support.surface_area() * h
+        self.levels = []
+        for n in [ppa, max(8, ppa // 2)] + [max(8, ppa // 4)] * (not aligned):
+            pts, cell = midpoint_grid(lo, hi, n)
+            Y = pts[support.contains_many(pts)]
+            self.levels.append((Y, psi(Y), cell))
         self.block_rows = max(1, _NODE_BUDGET // max(1, len(self.levels[0][0])))
 
     def evaluate(self, phi: SpaceTimeField, X, T):
@@ -159,10 +151,6 @@ class _Nodes:
         for i in range(0, len(X), self.block_rows):
             s = slice(i, i + self.block_rows)
             terms = [_terms(phi, X[s], T[s], Y, w) for Y, w, _ in self.levels]
-            if self.quad.scheme == "monte_carlo":
-                values[s] = weight * terms[0].mean(axis=1)
-                errors[s] = weight * terms[0].std(axis=1) / math.sqrt(self.quad.mc_samples)
-                continue
             values[s] = terms[0].sum(axis=1) * weight
             errors[s] = np.abs(values[s] - terms[1].sum(axis=1) * self.levels[1][2])
             if len(terms) > 2:
@@ -179,11 +167,11 @@ def convolve_at(
 ) -> ConvolutionResult:
     """Evaluate Gamma(x, t) = integral over quad.support of phi(x-y, t) psi(y) dy.
 
-    The support of psi must agree with ``quad.support``.  Tensor grids report
-    est_error as the Richardson difference against half resolution plus a
-    boundary-cell bound for masked (non-box) supports; Monte Carlo reports
-    the standard error of the mean.  Raises :class:`ResolutionError` when an
-    error budget is configured and exceeded.
+    The support of psi must agree with ``quad.support`` (dimension 1 to 3).
+    est_error is the Richardson difference of the midpoint grid against half
+    resolution plus a boundary-cell bound for masked (non-box) supports.
+    Raises :class:`ResolutionError` when an error budget is configured and
+    exceeded.
     """
     (value,), (est,) = _Nodes(psi, quad).evaluate(phi, np.reshape(x, (1, -1)), [t])
     return ConvolutionResult(value=float(value), est_error=float(est))

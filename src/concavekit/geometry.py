@@ -363,6 +363,8 @@ class Box(ConvexBody, kind="box", keys={"lo": float_array, "hi": float_array}):
         hi = np.asarray(self.hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("box bounds must be 1-d arrays of equal length")
+        if not len(lo):
+            raise ValueError("box bounds must have at least one coordinate")
         if not (lo < hi).all():
             raise ValueError("box requires lo < hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -434,6 +436,8 @@ class Ball(ConvexBody, kind="ball", keys={"center": float_array, "radius": numbe
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if c.ndim != 1 or not len(c):
+            raise ValueError("ball center must be a 1-d array of at least one coordinate")
         if self.radius <= 0:
             raise ValueError("ball requires radius > 0")
         object.__setattr__(self, "center", c)

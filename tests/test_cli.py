@@ -260,6 +260,19 @@ class TestConvolve:
         assert main(argv + ["--tgrid", "1:1:1"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"kind": "box", "lo": [], "hi": []}, "box bounds must have at least one coordinate"),
+            ({"kind": "ball", "center": [], "radius": 1}, "ball center must be a 1-d array of at least one coordinate"),
+        ],
+        ids=["box", "ball"],
+    )
+    def test_zero_dimensional_body_is_input_error(self, body, message, tmp_path, capsys):
+        argv = ["convolve", "--kernel", "gw", "--body", write(tmp_path / "body.json", body)]
+        assert main(argv + ["--xgrid=0:1:2", "--tgrid", "1:1:1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_manifest_line_is_standard_json_of_the_parsed_arguments(self, interval_body, capsys):
         argv = ["convolve", "--kernel", "gw", "--body", interval_body, "--xgrid=-1:1:3"]
         argv += ["--tgrid", "1:1:1"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -82,6 +83,27 @@ class TestQuadratureAgreement:
             assert abs(rw.value - oracle_W_interval(-1, 1, x, t)) <= max(rw.est_error, 1e-6)
             rp = convolve_at(PoissonKernel(1), psi, [x], t, quad)
             assert abs(rp.value - oracle_P_interval(-1, 1, x, t)) <= max(rp.est_error, 1e-6)
+
+    @pytest.mark.parametrize("data", ["box", "unit_ball"])
+    def test_3d_bars_hold_against_exact_forms(self, data):
+        from scipy.stats import ncx2
+
+        rng = make_rng(53)
+        X, T = rng.uniform(-2, 2, (200, 3)), rng.uniform(0.05, 2, 200)
+        if data == "box":
+            body = Box([-1.0, -1.0, -0.5], [1.0, 0.5, 0.5])
+            # the heat kernel factorizes over the axes of a box
+            axes = zip(body.lo, body.hi, X.T)
+            exact = math.prod(oracle_W_interval(a, b, x, T) for a, b, x in axes)
+        else:
+            body = Ball([0.0, 0.0, 0.0], 1.0)
+            # |x + sqrt(2t) Z|^2 / 2t is noncentral chi-squared with 3 degrees of freedom
+            exact = ncx2.cdf(1 / (2 * T), df=3, nc=(X * X).sum(axis=1) / (2 * T))
+        quad = QuadratureSpec.default_for(body)
+        assert quad.points_per_axis == 32
+        gamma = ConvolutionField(GaussWeierstrassKernel(3), IndicatorField(body), quad)
+        values, errors = gamma.eval_with_error(X, T)
+        assert (np.abs(values - exact) <= errors).all()
 
     def test_zero_data(self):
         psi = IndicatorField(Interval(-1, 1), height=0.0)
@@ -204,11 +226,17 @@ class TestQuadratureAgreement:
         with pytest.raises(ResolutionError):
             convolve_at(PoissonKernel(1), psi, [0.0], 0.05, quad)
 
-    def test_monte_carlo_path(self):
-        psi = IndicatorField(Interval(-1, 1))
-        quad = QuadratureSpec(support=Interval(-1, 1), scheme="monte_carlo", mc_samples=200_000)
-        r = convolve_at(PoissonKernel(1), psi, [0.0], 1.0, quad)
-        assert abs(r.value - 0.5) <= 4 * r.est_error
+    def test_four_dimensions_are_refused(self, tmp_path, capsys):
+        from concavekit.cli import main
+
+        box = {"kind": "box", "lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1]}
+        with pytest.raises(ValueError, match="dimensions 1 to 3"):
+            QuadratureSpec(support=Box(box["lo"], box["hi"]))
+        path = tmp_path / "box4.json"
+        path.write_text(json.dumps(box))
+        argv = ["convolve", "--kernel", "gw", "--body", str(path), "--xgrid=" + ",".join(["0:1:2"] * 4)]
+        assert main(argv + ["--tgrid", "1:1:1"]) == 2
+        assert capsys.readouterr().err == "error: quadrature supports dimensions 1 to 3, not 4\n"
 
     def test_min_resolution_enforced(self):
         with pytest.raises(ValueError):
@@ -216,11 +244,12 @@ class TestQuadratureAgreement:
 
 
 class TestPinnedBits:
-    """Every quadrature path keeps its value and error bits, one point or a batch.
+    """The midpoint grid keeps its value and error bits, one point or a batch.
 
-    Values and error bars are pinned by ``float.hex``: tensor grids on an
-    interval (indicator and tent data), a box, a ball and a triangle; the
-    Monte Carlo default in 3-d; points far outside the support; t = 1e-4.
+    Values and error bars are pinned by ``float.hex`` at the default
+    resolution of each dimension: an interval (indicator and tent data); a
+    box, a ball and a triangle in 2-d; a box and a ball in 3-d; points far
+    outside the support; t = 1e-4.
     """
 
     INTERVAL = Interval(-1.0, 1.0)
@@ -296,18 +325,18 @@ class TestPinnedBits:
             IndicatorField(TRIANGLE),
             [([0.7, 0.6], 0.4, "0x1.006f992fec8c3p-1", "0x1.fd3a7bd1d7165p-4")],
         ),
-        "gw_box_3d_monte_carlo": (
+        "gw_box_3d": (
             GaussWeierstrassKernel(3),
             IndicatorField(Box([-1.0, -1.0, -0.5], [1.0, 0.5, 0.5])),
             [
-                ([0.1, -0.2, 0.3], 0.9, "0x1.0b354b805abd4p-4", "0x1.0e95f9760ecd3p-16"),
-                ([1.5, 0.0, -0.4], 0.4, "0x1.065f9bfdf6056p-4", "0x1.017d6fc2723bdp-13"),
+                ([0.1, -0.2, 0.3], 0.9, "0x1.0b37ce11c3103p-4", "0x1.ceb53316d2000p-16"),
+                ([1.5, 0.0, -0.4], 0.4, "0x1.06c745530ada4p-4", "0x1.ac0fd93ac0000p-22"),
             ],
         ),
-        "poisson_ball_3d_monte_carlo": (
+        "poisson_ball_3d": (
             PoissonKernel(3),
             IndicatorField(Ball([0.0, 0.0, 0.0], 1.0)),
-            [([0.2, 0.1, -0.3], 0.5, "0x1.adf151bdc8e4cp-2", "0x1.c543a475beb6ep-10")],
+            [([0.2, 0.1, -0.3], 0.5, "0x1.ad4abe0af2b53p-2", "0x1.29bc211f0997ap-1")],
         ),
         "gw_far_outside": (
             GaussWeierstrassKernel(1),

@@ -255,6 +255,20 @@ def test_malformed_descriptor_is_refused(data):
         from_json(data, (ConvexBody, ScalarField, SpaceTimeField))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "box", "lo": [], "hi": []}, "box bounds must have at least one coordinate"),
+        ({"kind": "ball", "center": [], "radius": 1}, "ball center must be a 1-d array"),
+        ({"kind": "ball", "center": [[0, 0]], "radius": 1}, "ball center must be a 1-d array"),
+    ],
+    ids=["box", "ball", "nested_ball_center"],
+)
+def test_body_without_a_flat_list_of_coordinates_is_refused(data, message):
+    with pytest.raises(ValueError, match=message):
+        from_json(data, ConvexBody)
+
+
 def test_spacetime_box_kind_is_optional():
     bare = {k: v for k, v in SAMPLES["spacetime_box"].items() if k != "kind"}
     _assert_same(from_json(bare, SpaceTimeBox), from_json(SAMPLES["spacetime_box"], SpaceTimeBox))
@@ -279,7 +293,7 @@ def test_non_finite_time_is_refused(kind, t):
 SPACETIME_KINDS = sorted(k for k, cls in _KINDS.items() if issubclass(cls, SpaceTimeField))
 
 # every space-time sample, plus convolutions whose quadrature masks a ball
-# (the boundary term) and draws Monte Carlo points (a 3-d box)
+# (the boundary term) and spans a 3-d box
 BATCH_SAMPLES = {
     **{kind: SAMPLES[kind] for kind in SPACETIME_KINDS},
     "convolution_ball": {
