@@ -9,8 +9,9 @@ no masking error.
 
 The nodes (masked grids with psi's values) are built once per quadrature plan
 and psi; a batch of points (x, t) is evaluated through them in row blocks of
-bounded size.  ``ConvolutionField``, ``convolve_at`` and the ``convolve``
-subcommand all take this one path.
+bounded size.  ``ConvolutionField._eval`` is the one path: it returns the
+values with their error estimates as the bound of the fields' one hook, and
+``convolve_at`` and the ``convolve`` subcommand reach it through ``eval_with_error``.
 
 For interval indicators in one dimension the heat and Poisson convolutions
 have closed forms (erf and arctan antiderivatives).  These serve as oracles
@@ -108,7 +109,7 @@ _NODE_BUDGET = 1 << 14
 def _terms(phi: SpaceTimeField, X, T, Y, w) -> np.ndarray:
     """phi(x_i - y_j, t_i) w_j for the rows (x_i, t_i) and the nodes y_j, shape (rows, nodes)."""
     D = (X[:, None, :] - Y).reshape(len(X) * len(Y), X.shape[1])
-    return phi._eval(D, np.repeat(T, len(Y))).reshape(len(X), len(Y)) * w
+    return phi._eval(D, np.repeat(T, len(Y)))[0].reshape(len(X), len(Y)) * w
 
 
 class _Nodes:
@@ -139,11 +140,10 @@ class _Nodes:
         self.block_rows = max(1, _NODE_BUDGET // max(1, len(self.levels[0][0])))
 
     def evaluate(self, phi: SpaceTimeField, X, T):
-        """(values, est_errors) at the rows of X and the times T, in blocks of rows.
+        """(values, est_errors) at the normalized rows of X and times T, in blocks of rows.
 
         Refuses a non-finite point (ValueError) and an exceeded error budget (ResolutionError).
         """
-        X, T, _ = phi._args(X, T)
         if not np.isfinite(X).all():
             raise ValueError("convolution points must be finite")
         values, errors = np.empty(len(X)), np.empty(len(X))
@@ -173,7 +173,7 @@ def convolve_at(
     Raises :class:`ResolutionError` when an error budget is configured and
     exceeded.
     """
-    (value,), (est,) = _Nodes(psi, quad).evaluate(phi, np.reshape(x, (1, -1)), [t])
+    (value,), (est,) = ConvolutionField(phi, psi, quad).eval_with_error(np.reshape(x, (1, -1)), [t])
     return ConvolutionResult(value=float(value), est_error=float(est))
 
 
@@ -234,8 +234,9 @@ class ConvolutionField(
 ):
     """Gamma(x, t) as a space-time field backed by quadrature.
 
-    ``eval_with_error`` propagates the quadrature error estimate so the
-    concavity checkers can keep strictness claims above the noise floor.
+    ``_eval`` returns the quadrature error estimates as the values' bound, so
+    ``eval_with_error`` and every field built on this one carry them and the
+    concavity checkers keep strictness claims above the noise floor.
     Its descriptor integrates with the default quadrature for psi's support.
     A psi whose support does not match the quadrature's is refused at construction.
     """
@@ -249,11 +250,8 @@ class ConvolutionField(
         self.t_hi = phi.t_hi
         self._nodes = _Nodes(psi, quad)
 
-    def _eval_err(self, P, T):
-        return self._nodes.evaluate(self.phi, P, T)
-
     def _eval(self, P, T):
-        return self._eval_err(P, T)[0]
+        return self._nodes.evaluate(self.phi, P, T)
 
     @classmethod
     def _build(cls, kernel, psi):
@@ -267,35 +265,31 @@ class ConvolutionField(
         raise ValueError("a convolution field's quadrature has no descriptor")
 
 
-class HeatIndicatorField(SpaceTimeField, kind="oracle_w", keys={"a": number, "b": number}):
+class _IntervalOracle(SpaceTimeField):
+    """Exact kernel convolution of an interval indicator (n = 1) by the closed form ``_form``."""
+
+    def __init__(self, a: float, b: float):
+        if not a < b:
+            raise ValueError("requires a < b")
+        self.a, self.b = float(a), float(b)
+        self.dim = 1
+        self.claimed_exponent = -math.inf
+        self.claimed_mode = "strict"
+
+    def _eval(self, P, T):
+        # the times were checked by _args; a < b by the constructor
+        return self._form(self.a, self.b, P[:, 0], T), 0.0
+
+
+class HeatIndicatorField(_IntervalOracle, kind="oracle_w", keys={"a": number, "b": number}):
     """Exact heat convolution of an interval indicator (n = 1, closed form)."""
 
-    def __init__(self, a: float, b: float):
-        if not a < b:
-            raise ValueError("requires a < b")
-        self.a, self.b = float(a), float(b)
-        self.dim = 1
-        self.claimed_alpha = 0.5
-        self.claimed_exponent = -math.inf
-        self.claimed_mode = "strict"
-
-    def _eval(self, P, T):
-        # the times were checked by _args; a < b by the constructor
-        return _heat_interval(self.a, self.b, P[:, 0], T)
+    claimed_alpha = 0.5
+    _form = staticmethod(_heat_interval)
 
 
-class PoissonIndicatorField(SpaceTimeField, kind="oracle_p", keys={"a": number, "b": number}):
+class PoissonIndicatorField(_IntervalOracle, kind="oracle_p", keys={"a": number, "b": number}):
     """Exact Poisson convolution of an interval indicator (n = 1, closed form)."""
 
-    def __init__(self, a: float, b: float):
-        if not a < b:
-            raise ValueError("requires a < b")
-        self.a, self.b = float(a), float(b)
-        self.dim = 1
-        self.claimed_alpha = 1.0
-        self.claimed_exponent = -math.inf
-        self.claimed_mode = "strict"
-
-    def _eval(self, P, T):
-        # the times were checked by _args; a < b by the constructor
-        return _poisson_interval(self.a, self.b, P[:, 0], T)
+    claimed_alpha = 1.0
+    _form = staticmethod(_poisson_interval)

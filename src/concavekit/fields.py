@@ -6,6 +6,11 @@ kinds evaluate pointwise or on batches of points, are immutable after
 construction, and carry advisory concavity metadata (exponent, strictness)
 that the ``concavity`` module can verify but never trusts.
 
+Every field has one evaluation hook, ``_eval``, which returns the values
+with a bound on their error (0.0 for a closed form); :class:`Field` holds
+the only call path on top of it.  A field built on another passes the inner
+bound on, so no wrapper drops a quadrature error bar.
+
 The field families include the heat and half-space Poisson kernels, two
 closed-form radial kernel templates covering both, the time-lift that turns
 a p-concave spatial profile into a parabolically p-concave space-time field,
@@ -26,6 +31,7 @@ from .means import as_exponent
 
 __all__ = [
     "sigma_sphere",
+    "Field",
     "ScalarField",
     "IndicatorField",
     "TentField",
@@ -80,7 +86,33 @@ def _pts(x, dim: int):
     raise ValueError(f"points must have shape (m, {dim})")
 
 
-class ScalarField(Descriptor):
+class Field(Descriptor):
+    """A nonnegative function with one evaluation hook and one call path.
+
+    A subclass's ``_args`` normalizes the arguments of a call to (arrays...,
+    whether a single point was given).  Its ``_eval`` takes those arrays and
+    returns (values, bound): one float value per point, and a bound on their
+    error that is an array of the values' shape, or 0.0 for a closed form.
+    A field built on another returns the inner bound, or its image under the
+    map from inner values to its own.
+    """
+
+    dim: int
+
+    def __call__(self, *args):
+        *arrays, single = self._args(*args)
+        v = self._eval(*arrays)[0]
+        return float(v[0]) if single else v
+
+    def eval_with_error(self, *args):
+        """Value plus an evaluation-noise bound, the bound as a fresh float array."""
+        *arrays, single = self._args(*args)
+        v, e = self._eval(*arrays)
+        e = np.full(v.shape, e, dtype=float)
+        return (float(v[0]), float(e[0])) if single else (v, e)
+
+
+class ScalarField(Field):
     """Nonnegative function on R^n with optional compact support.
 
     ``support``, when set, is a convex body, and the field vanishes outside
@@ -94,29 +126,13 @@ class ScalarField(Descriptor):
     sin(a/2).
     """
 
-    dim: int
     support: ConvexBody | None = None
     claimed_exponent: float | None = None
     claimed_strict: bool = False
 
-    def _eval(self, P: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _eval_err(self, P: np.ndarray):
-        """Values and their evaluation-noise bounds (0 for closed forms)."""
-        v = self._eval(P)
-        return v, np.zeros(v.shape)
-
-    def __call__(self, x):
-        P, single = _pts(x, self.dim)
-        v = self._eval(P)
-        return float(v[0]) if single else v
-
-    def eval_with_error(self, x):
-        """Value plus an evaluation-noise bound."""
-        P, single = _pts(x, self.dim)
-        v, e = self._eval_err(P)
-        return (float(v[0]), float(e[0])) if single else (v, e)
+    def _args(self, x):
+        """(points of shape (m, dim), whether a single point was given) of a call."""
+        return _pts(x, self.dim)
 
 
 class IndicatorField(
@@ -135,7 +151,7 @@ class IndicatorField(
         self.claimed_strict = False
 
     def _eval(self, P):
-        return self.height * self.body.contains_many(P).astype(float)
+        return self.height * self.body.contains_many(P).astype(float), 0.0
 
 
 class TentField(
@@ -168,7 +184,7 @@ class TentField(
         self.claimed_strict = False
 
     def _eval(self, P):
-        return self.height * np.maximum(0.0, 1.0 - self.body.gauge(P, self.center))
+        return self.height * np.maximum(0.0, 1.0 - self.body.gauge(P, self.center)), 0.0
 
 
 class ConstantField(ScalarField, kind="constant", keys={"value": number, "n": _N}):
@@ -179,7 +195,7 @@ class ConstantField(ScalarField, kind="constant", keys={"value": number, "n": _N
         self.dim = dim
 
     def _eval(self, P):
-        return np.full(len(P), self.value)
+        return np.full(len(P), self.value), 0.0
 
 
 class GaussWeierstrassSlice(ScalarField, kind="gaussian", keys={"n": _N, "t": number}):
@@ -195,7 +211,7 @@ class GaussWeierstrassSlice(ScalarField, kind="gaussian", keys={"n": _N, "t": nu
 
     def _eval(self, P):
         r2 = geometry.rowwise(np.add, P * P)
-        return (4 * math.pi * self.t) ** (-self.dim / 2) * np.exp(-r2 / (4 * self.t))
+        return (4 * math.pi * self.t) ** (-self.dim / 2) * np.exp(-r2 / (4 * self.t)), 0.0
 
 
 class PoissonSlice(ScalarField, kind="poisson_slice", keys={"n": _N, "t": number}):
@@ -212,7 +228,7 @@ class PoissonSlice(ScalarField, kind="poisson_slice", keys={"n": _N, "t": number
 
     def _eval(self, P):
         r2 = geometry.rowwise(np.add, P * P)
-        return self._norm * (r2 + self.t**2) ** (-(self.dim + 1) / 2)
+        return self._norm * (r2 + self.t**2) ** (-(self.dim + 1) / 2), 0.0
 
 
 @dataclass(frozen=True)
@@ -259,7 +275,7 @@ class RadialField(ScalarField, kind="radial", keys={"profile": _profile_from_jso
             self.claimed_strict = True
 
     def _eval(self, P):
-        return self.profile(geometry.row_norm(P))
+        return self.profile(geometry.row_norm(P)), 0.0
 
 
 def radialize(profile: RadialProfile, n: int = 1) -> RadialField:
@@ -281,10 +297,14 @@ class ProductField(ScalarField, kind="product", keys={"factors": [ScalarField]})
         self.support = sup[0] if sup else None
 
     def _eval(self, P):
-        out = np.ones(len(P))
+        out, bound = np.ones(len(P)), 0.0
         for f in self.factors:
-            out *= f._eval(P)
-        return out
+            v, e = f._eval(P)
+            # prod (v_i + e_i) - prod v_i without cancellation; exact factors keep 0.0
+            if isinstance(bound, np.ndarray) or isinstance(e, np.ndarray):
+                bound = bound * (v + e) + out * e
+            out *= v
+        return out, bound
 
 
 class GridField(
@@ -310,7 +330,7 @@ class GridField(
         self.support = geometry.Box(lo, hi) if (lo < hi).all() else None
 
     def _eval(self, P):
-        return np.maximum(0.0, self._interp(P))
+        return np.maximum(0.0, self._interp(P)), 0.0
 
 
 class PullbackField(ScalarField):
@@ -342,33 +362,21 @@ class PullbackField(ScalarField):
 # ---------------------------------------------------------------------------
 
 
-class SpaceTimeField(Descriptor):
+class SpaceTimeField(Field):
     """Nonnegative function on R^n x (t_lo, t_hi)."""
 
-    dim: int
     t_lo: float = 0.0
     t_hi: float = math.inf
     claimed_alpha: float | None = None
     claimed_exponent: float | None = None
     claimed_mode: str | None = None  # "plain" | "strict" | "almost_strict"
 
-    def _eval(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Values at the points ``P`` and times ``T``, one time per point.
-
-        ``T`` may be the caller's own array, so it must not be written.
-        """
-        raise NotImplementedError
-
-    def _eval_err(self, P: np.ndarray, T: np.ndarray):
-        """Values and their evaluation-noise bounds (0 for closed forms)."""
-        v = self._eval(P, T)
-        return v, np.zeros(v.shape)
-
     def _args(self, x, t):
         """(points, times not to be written, whether a single point was given) of a call.
 
         Every time lies in the open interval (t_lo, t_hi) afterwards, so
-        ``_eval`` and ``_eval_err`` need not check it again.
+        ``_eval`` need not check it again.  The times may be the caller's
+        own array, so ``_eval`` must not write them.
         """
         P, single_x = _pts(x, self.dim)
         T = np.asarray(t, dtype=float)
@@ -378,17 +386,6 @@ class SpaceTimeField(Descriptor):
         if T.shape != (len(P),):
             T = np.broadcast_to(T, (len(P),))
         return P, T, single_x and np.isscalar(t)
-
-    def __call__(self, x, t):
-        P, T, single = self._args(x, t)
-        v = self._eval(P, T)
-        return float(v[0]) if single else v
-
-    def eval_with_error(self, x, t):
-        """Value plus an evaluation-noise bound."""
-        P, T, single = self._args(x, t)
-        v, e = self._eval_err(P, T)
-        return (float(v[0]), float(e[0])) if single else (v, e)
 
     def slice_at(self, t: float) -> "FixedTimeSlice":
         return FixedTimeSlice(self, t)
@@ -411,9 +408,6 @@ class FixedTimeSlice(
     def _eval(self, P):
         return self.st_field._eval(P, np.full(len(P), self.t))
 
-    def _eval_err(self, P):
-        return self.st_field._eval_err(P, np.full(len(P), self.t))
-
 
 class GaussWeierstrassKernel(SpaceTimeField, kind="gauss_weierstrass", keys={"n": _N}):
     """Heat kernel on R^n x (0, inf)."""
@@ -426,7 +420,7 @@ class GaussWeierstrassKernel(SpaceTimeField, kind="gauss_weierstrass", keys={"n"
 
     def _eval(self, P, T):
         r2 = geometry.rowwise(np.add, P * P)
-        return (4 * math.pi * T) ** (-self.dim / 2) * np.exp(-r2 / (4 * T))
+        return (4 * math.pi * T) ** (-self.dim / 2) * np.exp(-r2 / (4 * T)), 0.0
 
 
 class PoissonKernel(SpaceTimeField, kind="poisson_kernel", keys={"n": _N}):
@@ -441,7 +435,7 @@ class PoissonKernel(SpaceTimeField, kind="poisson_kernel", keys={"n": _N}):
 
     def _eval(self, P, T):
         r2 = geometry.rowwise(np.add, P * P)
-        return self._two_over_sigma * T * (r2 + T * T) ** (-(self.dim + 1) / 2)
+        return self._two_over_sigma * T * (r2 + T * T) ** (-(self.dim + 1) / 2), 0.0
 
 
 _ABC_N = {"a": number, "b": number, "c": number, "n": _N}
@@ -469,7 +463,7 @@ class KappaExpKernel(SpaceTimeField, kind="kappa_exp", keys=_ABC_N):
 
     def _eval(self, P, T):
         r = geometry.row_norm(P)
-        return T**self.a * np.exp(-(r**self.b) / T**self.c)
+        return T**self.a * np.exp(-(r**self.b) / T**self.c), 0.0
 
 
 class KappaPowerKernel(SpaceTimeField, kind="kappa_power", keys=_ABC_N):
@@ -495,7 +489,7 @@ class KappaPowerKernel(SpaceTimeField, kind="kappa_power", keys=_ABC_N):
 
     def _eval(self, P, T):
         r = geometry.row_norm(P)
-        return T**self.a * (r**self.b + T**self.b) ** (self.c / self.b)
+        return T**self.a * (r**self.b + T**self.b) ** (self.c / self.b), 0.0
 
 
 class LiftedField(
@@ -524,14 +518,24 @@ class LiftedField(
         self.claimed_mode = "almost_strict" if f.claimed_strict else "plain"
 
     def _eval(self, P, T):
+        # the lift increases in f, so it maps the ends of f's error bar to the ends of its own
         fa = T**self.alpha
-        fv = self.f._eval(P / fa[:, None])
-        if self.p == 0.0:
-            out = np.zeros_like(fv)
-            pos = fv > 0
-            out[pos] = np.exp(fa[pos] * np.log(fv[pos]))
-            return out
-        return fa ** (1.0 / self.p) * fv
+        fv, e = self.f._eval(P / fa[:, None])
+        if self.p != 0.0:
+            scale = fa ** (1.0 / self.p)
+            return scale * fv, scale * e if isinstance(e, np.ndarray) else 0.0
+        out = _log_lift(fv, fa)
+        if not isinstance(e, np.ndarray):
+            return out, 0.0
+        return out, np.maximum(_log_lift(fv + e, fa) - out, out - _log_lift(fv - e, fa))
+
+
+def _log_lift(fv, fa):
+    """exp(fa log fv), and 0 where fv <= 0."""
+    out = np.zeros_like(fv)
+    pos = fv > 0
+    out[pos] = np.exp(fa[pos] * np.log(fv[pos]))
+    return out
 
 
 def lift(f: ScalarField, p: float, alpha: float) -> LiftedField:

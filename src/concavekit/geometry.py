@@ -383,11 +383,6 @@ class Box(ConvexBody, kind="box", keys={"lo": float_array, "hi": float_array}):
         p = np.asarray(pts, dtype=float)
         return rowwise(np.logical_and, (p >= self.lo - tol) & (p <= self.hi + tol))
 
-    def contains(self, x, tol=_MEMBERSHIP_TOL):
-        # contains_many's comparisons in Python floats, without numpy's per-call set-up
-        x, lo, hi = np.asarray(x, dtype=float).tolist(), self.lo.tolist(), self.hi.tolist()
-        return all(a - tol <= xi <= b + tol for xi, a, b in zip(x, lo, hi))
-
     def gauge(self, P, z):
         up = (P - z) / (self.hi - z)
         dn = (z - P) / (z - self.lo)

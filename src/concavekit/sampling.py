@@ -46,8 +46,10 @@ class SamplingError(RuntimeError):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox generator keyed by the given 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(np.uint64(seed))))
+    """Philox generator keyed by a 64-bit seed; refuses one outside [0, 2**64) (ValueError)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"a seed must be an integer in [0, 2**64), not {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 @cache

@@ -298,7 +298,8 @@ class TestSupGridRanking:
     def test_negative_field_values_rejected(self):
         class Dip(TentField):
             def _eval(self, P):
-                return super()._eval(P) - 0.5
+                v, e = super()._eval(P)
+                return v - 0.5, e
 
         inst = BBLInstance(TentField(Interval(0, 1)), Dip(Interval(2, 4)), 1.0, 0.5, 64)
         with pytest.raises(ValueError):

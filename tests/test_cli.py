@@ -178,6 +178,27 @@ class TestCheck:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_input_error(self, seed, tmp_path, capsys):
+        field = write(tmp_path / "tent.json", {"kind": "tent", "body": {"kind": "interval", "a": -1, "b": 1}})
+        assert main(["check", "concavity", "--field", field, "--p", "1", "--seed", seed]) == 2
+        assert capsys.readouterr().err == f"error: a seed must be an integer in [0, 2**64), not {seed}\n"
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_wrapped_quadrature_slice_keeps_its_strict_verdict(self, wrap, tmp_path, capsys):
+        # the default grid's error bar hides the slice's strictness margin;
+        # a product of the slice alone has the same values and bar
+        disk = {"kind": "ball", "center": [0, 0], "radius": 1}
+        gamma = {"kind": "convolution", "kernel": "poisson", "psi": {"kind": "indicator", "body": disk}}
+        desc = {"kind": "slice", "field": gamma, "t": 0.3}
+        field = write(tmp_path / "f.json", {"kind": "product", "factors": [desc]} if wrap else desc)
+        dom = write(tmp_path / "dom.json", {**disk, "radius": 1.5})
+        argv = ["check", "concavity", "--field", field, "--p", "-1", "--mode", "strict"]
+        assert main(argv + ["--samples", "400", "--domain", dom]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdict"] == "equality_off_spec"
+        assert err == "check: equality_off_spec\n"
+
     def test_malformed_json_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

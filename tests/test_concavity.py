@@ -45,7 +45,7 @@ class _TimeOnly(SpaceTimeField):
     dim = 1
 
     def _eval(self, P, T):
-        return T.copy()
+        return T.copy(), 0.0
 
 
 def _two_bumps():
@@ -62,7 +62,7 @@ class _Bumpy(SpaceTimeField):
     dim = 1
 
     def _eval(self, P, T):
-        return 1.0 + np.sin(4 * P[:, 0]) ** 2
+        return 1.0 + np.sin(4 * P[:, 0]) ** 2, 0.0
 
 
 class TestSpatialChecks:
@@ -335,6 +335,19 @@ class TestConfigValidation:
         rep = check_p_concavity(f, 0.0, cfg)
         data = rep.to_json()
         assert set(data) >= {"verdict", "worst_margin", "witness", "samples", "seed", "tolerance"}
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1), 1.5, 2.0, "3", None])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"a seed must be an integer in \[0, 2\*\*64\)"):
+            make_rng(seed)
+        cfg = CheckConfig(samples=10, seed=seed, domain=Interval(-2, 2))
+        with pytest.raises(ValueError, match="seed"):
+            check_p_concavity(GaussWeierstrassSlice(1, 1.0), 0.0, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+    def test_seeds_in_64_bits_key_the_stream(self, seed):
+        ref = np.random.Generator(np.random.Philox(key=int(seed))).random(4)
+        assert np.array_equal(make_rng(seed).random(4), ref)
 
 
 def _cfg(samples, seed, domain):

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erf
 
 from concavekit.concavity import (
+    EQUALITY_OFF_SPEC,
     PASS,
     CheckConfig,
     check_p_concavity,
@@ -27,8 +28,14 @@ from concavekit.fields import (
     FixedTimeSlice,
     GaussWeierstrassKernel,
     IndicatorField,
+    LiftedField,
     PoissonKernel,
+    ProductField,
+    PullbackField,
     TentField,
+    conjugate0,
+    conjugate0_inverse,
+    shifted,
 )
 from concavekit.geometry import Ball, Box, Interval, Polytope, SpaceTimeBox
 from concavekit.sampling import make_rng
@@ -438,7 +445,7 @@ class TestConvolutionConcavity:
 
 
 class TestErrorHook:
-    """eval_with_error normalizes its arguments once and dispatches to _eval_err."""
+    """eval_with_error normalizes its arguments once and returns _eval's values and bounds."""
 
     def test_convolution_field_and_its_slice(self):
         gamma = ConvolutionField(
@@ -466,6 +473,124 @@ class TestErrorHook:
         assert tent.eval_with_error(0.5) == (0.5, 0.0)
         V, E = tent.eval_with_error(np.array([[0.5], [0.0]]))
         assert np.array_equal(V, [0.5, 1.0]) and np.array_equal(E, np.zeros(2))
+
+
+def _log_lift_image(V, E, fa):
+    """The widest half-width of f^fa over the bar [V - E, V + E], with 0^fa = 0."""
+
+    def power(F):
+        return np.where(F > 0, np.exp(fa * np.log(np.maximum(F, 1e-300))), 0.0)
+
+    return np.maximum(power(V + E) - power(V), power(V) - power(V - E))
+
+
+class TestWrapperBounds:
+    """A field built on a quadrature field reports that field's error bar, never 0."""
+
+    t = 0.7
+    X = np.linspace(-1.8, 1.8, 13)[:, None]
+
+    @pytest.fixture(scope="class")
+    def gamma(self):
+        return ConvolutionField(
+            PoissonKernel(1),
+            IndicatorField(Interval(-1, 1)),
+            QuadratureSpec(support=Interval(-1, 1), points_per_axis=64),
+        )
+
+    def test_slice_and_pullback_pass_the_bound_on(self, gamma):
+        V, E = gamma.eval_with_error(self.X, self.t)
+        sl = FixedTimeSlice(gamma, self.t)
+        assert (E > 0).all()
+        for field in (sl, PullbackField(sl, 1.0)):
+            v, e = field.eval_with_error(self.X)
+            assert np.array_equal(v, V) and np.array_equal(e, E)
+        v, e = PullbackField(sl, 0.5, [0.1]).eval_with_error(self.X)
+        ref = sl.eval_with_error(0.5 * self.X + np.array([0.1]))
+        assert np.array_equal(v, ref[0]) and np.array_equal(e, ref[1])
+
+    def test_conjugates_pass_the_bound_on(self, gamma):
+        T = np.full(len(self.X), self.t)
+        phi0 = conjugate0(gamma)
+        v, e = phi0.eval_with_error(self.X, np.exp(T))
+        V, E = gamma.eval_with_error(self.X, np.log(np.exp(T)))
+        assert np.array_equal(v, V) and np.array_equal(e, E) and (e > 0).all()
+        v, e = conjugate0_inverse(gamma).eval_with_error(self.X, T)
+        V, E = gamma.eval_with_error(self.X, np.exp(T))
+        assert np.array_equal(v, V) and np.array_equal(e, E) and (e > 0).all()
+
+    def test_shifted_passes_the_bound_on(self, gamma):
+        Y = np.linspace(-0.4, 0.4, len(self.X))[:, None]
+        v, e = shifted(gamma).eval_with_error(np.hstack([self.X, Y]), self.t)
+        V, E = gamma.eval_with_error(self.X - Y, self.t)
+        assert np.array_equal(v, V) and np.array_equal(e, E) and (e > 0).all()
+
+    def test_product_bounds_at_least_the_image(self, gamma):
+        sl = FixedTimeSlice(gamma, self.t)
+        V, E = sl.eval_with_error(self.X)
+        v, e = ProductField([sl]).eval_with_error(self.X)
+        assert np.array_equal(v, V) and np.array_equal(e, E)
+        tent = TentField(Interval(-2, 2))
+        w = tent(self.X)
+        v, e = ProductField([sl, tent]).eval_with_error(self.X)
+        assert np.array_equal(v, V * w) and (e >= E * w).all()
+        v, e = ProductField([sl, sl]).eval_with_error(self.X)
+        # (V + E)^2 - V^2, the image of the bar's upper end, up to rounding
+        np.testing.assert_allclose(e, (V + E) ** 2 - V**2, rtol=1e-6)
+        assert (e >= E * (2 * V + E) * (1 - 1e-15)).all()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_lift_maps_the_ends_of_the_bar(self, gamma, alpha):
+        sl = FixedTimeSlice(gamma, self.t)
+        s = np.linspace(0.5, 2.0, len(self.X))
+        fa = s**alpha
+        V, E = sl.eval_with_error(self.X / fa[:, None])
+        v, e = LiftedField(sl, 1.0, alpha).eval_with_error(self.X, s)
+        assert np.array_equal(v, fa * V) and (e >= fa * E).all() and (e > 0).all()
+        v, e = LiftedField(sl, 0.0, alpha).eval_with_error(self.X, s)
+        np.testing.assert_allclose(v, V**fa, rtol=1e-13)
+        assert (e >= _log_lift_image(V, E, fa) * (1 - 1e-12)).all() and (e > 0).all()
+
+    def test_exact_inner_fields_keep_a_zero_bound(self):
+        gw = GaussWeierstrassKernel(1)
+        tent = TentField(Interval(-2, 2))
+        s = np.linspace(0.5, 2.0, len(self.X))
+        Y = np.linspace(-0.4, 0.4, len(self.X))[:, None]
+        calls = [
+            (FixedTimeSlice(gw, self.t), (self.X,)),
+            (PullbackField(tent, 2.0, [0.5]), (self.X,)),
+            (ProductField([tent, FixedTimeSlice(gw, self.t)]), (self.X,)),
+            (LiftedField(tent, 0.0, 0.5), (self.X, s)),
+            (LiftedField(tent, -1.0, 0.5), (self.X, s)),
+            (conjugate0(gw), (self.X, 1.0 + s)),
+            (conjugate0_inverse(PoissonKernel(1)), (self.X, s)),
+            (shifted(gw), (np.hstack([self.X, Y]), s)),
+        ]
+        for field, args in calls:
+            v, e = field.eval_with_error(*args)
+            assert np.array_equal(v, field(*args)) and np.array_equal(e, np.zeros(len(self.X)))
+            # the hook's own bound is the closed-form 0.0, not an array
+            assert field._eval(*field._args(*args)[:-1])[1] == 0.0
+
+
+class TestWrappersKeepTheVerdict:
+    """Wrappers that leave the values alone get the slice's strict verdict on the same pairs.
+
+    The default grid's error bar on a slice of the convolved unit disk hides
+    its strictness margin, so the slice reads equality_off_spec; a wrapper
+    that dropped the bar would certify strictness inside that noise.
+    """
+
+    @pytest.mark.parametrize("kernel, t, p, seed", [(PoissonKernel, 0.05, -1.0, 0), (GaussWeierstrassKernel, 0.3, -2.0, 1)])
+    def test_product_and_pullback_read_the_slice_verdict(self, kernel, t, p, seed):
+        disk = Ball([0.0, 0.0], 1.0)
+        gamma = ConvolutionField(kernel(2), IndicatorField(disk), QuadratureSpec.default_for(disk))
+        sl = FixedTimeSlice(gamma, t)
+        cfg = CheckConfig(samples=400, seed=seed, domain=Ball([0.0, 0.0], 1.5))
+        ref = check_p_concavity(sl, p, cfg, strict=True)
+        assert ref.verdict == EQUALITY_OFF_SPEC
+        for wrapper in (ProductField([sl]), PullbackField(sl, 1.0)):
+            assert check_p_concavity(wrapper, p, cfg, strict=True).to_json() == ref.to_json()
 
 
 class TestExactFieldHelpers:

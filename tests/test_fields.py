@@ -350,7 +350,7 @@ class TestTimeInterval:
         dim, t_lo, t_hi = 1, 0.5, 2.0
 
         def _eval(self, P, T):
-            return T + P[:, 0]
+            return T + P[:, 0], 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, 0.5, 2.0, 0.1, 3.0])
     def test_time_outside_is_refused(self, bad):
