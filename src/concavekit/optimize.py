@@ -46,14 +46,14 @@ least 8, that holds them, and at most 64 batches.  Those points equal
 a seed names the same starts as it did when scipy drew them.  A feasible
 set with more than 32 non-degenerate axes raises ``ValueError``.  A
 box-like set (a ``box``, an ``interval``, a ``spacetime_box`` over one) is
-closed per-axis bounds: a batch is filtered in one comparison, and a
-segment's ends are its bounds, bisected only where z + (hi - z) rounds
-past one.  Other sets test each start and bisect by membership.
+closed per-axis bounds: a segment's ends are its bounds, bisected only
+where z + (hi - z) rounds past one.  Every set filters a batch of starts
+with one batch membership test, and a segment of any other set bisects
+through that test on one row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,54 +152,49 @@ class MaxResult(Record):
 
 
 class _Feasible:
-    """Uniform view of the feasible set: bounds + membership + start points.
+    """Uniform view of the feasible set: joint bounds ``lo, hi`` and one batch membership test.
 
-    Besides bodies and regions, a raw ``(lo, hi)`` pair is accepted as a box
-    that may be degenerate along some axes (e.g. a vertical segment); proper
-    bodies keep their nonempty-interior invariant.
+    ``inside(P)`` tests each row of an (m, dim) array P.  Besides bodies and
+    regions, a raw ``(lo, hi)`` pair is accepted as a box that may be
+    degenerate along some axes (e.g. a vertical segment); proper bodies keep
+    their nonempty-interior invariant.
 
     A box-like set (the pair, a ``Box`` or ``Interval``, a ``SpaceTimeBox``
-    over one) is ``bounds``, closed per axis with its ``contains`` tolerance:
-    starts pass one vectorized comparison, and a segment of a feasible z
-    tests its moving coordinate alone.  Other sets call their ``contains``.
+    over one) is ``bounds``, closed per axis with its ``contains`` tolerance,
+    and ``inside`` compares each row with them; a segment of a feasible z
+    tests its moving coordinate alone.  A body tests ``contains_many(P,
+    1e-12)``, and a ``SpaceTimeBox`` over another body or a
+    ``ParabolicRegion`` tests ``contains_many(P[:, :-1], P[:, -1])``.  Each
+    test gives a point the same answer alone and in any batch, so the starts
+    filter a whole batch and a segment bisects through one row.
     """
 
     def __init__(self, feasible):
         self.bounds = widen = None  # widen: a box-like set's contains tolerance per axis
         if isinstance(feasible, tuple) and len(feasible) == 2:
-            lo = np.atleast_1d(np.asarray(feasible[0], dtype=float))
-            hi = np.atleast_1d(np.asarray(feasible[1], dtype=float))
+            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in feasible)
             if (lo > hi).any() or (lo == hi).all():
                 raise ValueError("degenerate box needs lo <= hi with some extent")
-            self.lo, self.hi = lo, hi
             widen = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-        elif type(feasible) in (Box, Interval):
-            self.lo, self.hi = feasible.bounding_box()
-            widen = 1e-12
         elif isinstance(feasible, ConvexBody):
             lo, hi = feasible.bounding_box()
-            self.lo = np.asarray(lo, dtype=float)
-            self.hi = np.asarray(hi, dtype=float)
-            self.member = lambda z: feasible.contains(z, tol=1e-12)
-        elif isinstance(feasible, SpaceTimeBox):
-            blo, bhi = feasible.body.bounding_box()
-            self.lo = np.append(blo, feasible.t_lo)
-            self.hi = np.append(bhi, feasible.t_hi)
-            if type(feasible.body) in (Box, Interval):
+            widen = 1e-12 if type(feasible) in (Box, Interval) else None
+            self.inside = lambda P: feasible.contains_many(P, 1e-12)
+        elif isinstance(feasible, (SpaceTimeBox, ParabolicRegion)):
+            stb = isinstance(feasible, SpaceTimeBox)
+            x_lo, x_hi = feasible.body.bounding_box() if stb else (feasible.x_lo, feasible.x_hi)
+            lo, hi = np.append(x_lo, feasible.t_lo), np.append(x_hi, feasible.t_hi)
+            if stb and type(feasible.body) in (Box, Interval):
                 widen = np.append(np.full(feasible.dim, 1e-12), 0.0)  # closed times
-            else:
-                self.member = lambda z: feasible.contains(z[:-1], z[-1])
-        elif isinstance(feasible, ParabolicRegion):
-            self.lo = np.append(feasible.x_lo, feasible.t_lo)
-            self.hi = np.append(feasible.x_hi, feasible.t_hi)
-            self.member = lambda z: feasible.contains(z[:-1], z[-1])
+            self.inside = lambda P: feasible.contains_many(P[:, :-1], P[:, -1])
         else:
             raise ValueError("feasible set must be a body, space-time box, or region")
+        self.lo, self.hi = (np.asarray(b, dtype=float) for b in (lo, hi))
         if widen is not None:
-            self.bounds = (self.lo - widen).tolist(), (self.hi + widen).tolist()
+            self.bounds = lows, highs = (self.lo - widen).tolist(), (self.hi + widen).tolist()
+            self.inside = lambda P: ((P >= lows) & (P <= highs)).all(axis=1)
         self.dim = len(self.lo)
         self.span = self.hi - self.lo
-        self.diameter = float(np.linalg.norm(self.span))
 
     def starts(self, count: int, seed: int) -> np.ndarray:
         """Stratified starting points (scrambled Sobol, membership-filtered); see the module."""
@@ -209,13 +204,9 @@ class _Feasible:
         batch = 1 << max(3, (count - 1).bit_length())
         for _ in range(64):
             u = draw(batch)
-            pts = np.tile(self.lo.astype(float), (len(u), 1))
+            pts = np.tile(self.lo, (len(u), 1))
             pts[:, active] = self.lo[active] + u * self.span[active]
-            if self.bounds is None:
-                members = filter(self.member, pts)
-            else:
-                members = pts[((pts >= self.bounds[0]) & (pts <= self.bounds[1])).all(axis=1)]
-            out.extend(itertools.islice(members, count - len(out)))
+            out.extend(pts[self.inside(pts)][: count - len(out)])
             if len(out) == count:
                 return np.array(out)
         if not out:
@@ -236,7 +227,7 @@ class _Feasible:
             def feas(s):
                 w = z.copy()
                 w[axis] += s
-                return self.member(w)
+                return self.inside(w[None, :])[0]
         else:
             low, high, c = self.bounds[0][axis], self.bounds[1][axis], float(z[axis])
             def feas(s):
@@ -493,18 +484,15 @@ def regiomontanus(a: float, b: float, constraint, **kw) -> MaxResult:
     On a vertical constraint {x0} x [t_lo, t_hi] containing sqrt(ab), the
     classical optimum t* = sqrt(ab) is recovered.
 
-    A 1-d constraint interval is read as a t-range at x = 0.
+    A 1-d constraint interval is read as a t-range at x = 0; any other
+    constraint is a feasible set of :class:`MaxProblem`.
     """
     if not 0 < a < b - 1e-12 * max(1.0, abs(a)):
         raise ValueError("requires 0 < a < b with a non-degenerate segment")
     if isinstance(constraint, Interval):
         # a bare t-range means observing from the t-axis
         constraint = (np.array([0.0, constraint.a]), np.array([0.0, constraint.b]))
-    if isinstance(constraint, tuple):
-        lo = constraint[0]
-    else:
-        lo, _ = constraint.bounding_box()
-    if lo[-1] <= 0:
+    if _Feasible(constraint).lo[-1] <= 0:
         raise ValueError("constraint must lie in the open upper half-plane t > 0")
 
     prob = MaxProblem(objective=PoissonIndicatorField(a, b), feasible=constraint, **kw)

@@ -382,6 +382,15 @@ class TestMaximize:
         rep = json.loads(capsys.readouterr().out)
         assert abs(rep["argmax"][1] - 2.0) < 1e-6
 
+    def test_regiomontanus_over_a_spacetime_box(self, tmp_path, capsys):
+        cons = write(
+            tmp_path / "c.json",
+            {"kind": "spacetime_box", "body": {"kind": "interval", "a": -1, "b": 1}, "t_lo": 0.5, "t_hi": 3},
+        )
+        assert main(["regiomontanus", "--a", "1", "--b", "4", "--constraint", cons]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["argmax"] == pytest.approx([1.0, 0.5], abs=1e-6)
+
     def test_convergence_refusal_is_input_error(self, tmp_path, monkeypatch, capsys):
         from concavekit import optimize
 

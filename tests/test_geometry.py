@@ -10,6 +10,7 @@ from concavekit.geometry import (
     Box,
     ConvexCone,
     CylinderRegion,
+    HatRegion,
     Interval,
     NotRepresentableError,
     Polytope,
@@ -567,9 +568,45 @@ class TestRowKernels:
         for tol in (0.0, _MEMBERSHIP_TOL, -1e-9):
             got = body.contains_many(pts, tol)
             assert np.array_equal(got, _reduce_membership(body, pts, tol))
-            if isinstance(body, Box):  # Box tests a single point in Python floats
-                assert [body.contains(x, tol) for x in pts] == got.tolist()
+            # a point alone gets its row's answer: the optimizer filters its
+            # starts in batches and bisects segments one point at a time
+            assert [body.contains(x, tol) for x in pts] == got.tolist()
         assert 0 < got.sum() < len(pts)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            SpaceTimeBox(Interval(-0.75, 1.25), 0.5, 2.0),
+            SpaceTimeBox(Ball([0.3, -0.2], 0.8), 0.5, 2.0),
+            HatRegion(Ball([0.3, -0.2], 0.8), 0.5),
+            HatRegion(Polytope(_regular_polygon(12, 1.3)), 0.0),
+            CylinderRegion(Ball([0.1, 0.2, -0.3], 1.7), 0.5, 2.0, 1.0),
+            CylinderRegion(Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]), 0.5, 2.0, 0.5),
+        ],
+        ids=lambda r: f"{type(r).__name__}-{type(getattr(r, 'body', getattr(r, 'base', None))).__name__}",
+    )
+    def test_space_time_point_alone_matches_its_row(self, region):
+        # points on the base's boundary (scaled by f(t) for a hat region) and
+        # at the end times, shifted by 0, +-tol and +-2 tol, plus random points
+        rng = make_rng(91)
+        body = region.body if isinstance(region, SpaceTimeBox) else region.base
+        c = body.interior_point()
+        d = rng.standard_normal((40, body.dim))
+        d /= row_norm(d)[:, None]
+        steps = _MEMBERSHIP_TOL * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        edge = c + d / body.gauge(c + d, c)[:, None]
+        U = (edge[:, None, :] + steps[None, :, None] * d[:, None, :]).reshape(-1, body.dim)
+        T = np.concatenate([rng.uniform(region.t_lo, region.t_hi, len(U)),
+                            np.repeat([region.t_lo, region.t_hi], 5) * (1.0 + np.tile(steps, 2))])
+        U = np.vstack([U, np.tile(c, (10, 1))])
+        if isinstance(region, HatRegion):
+            U *= time_factor(T, region.alpha)[:, None]
+        P = np.vstack([np.column_stack([U, T]), rng.uniform(-3.0, 4.0, (200, body.dim + 1))])
+        got = region.contains_many(P[:, :-1], P[:, -1])
+        # the optimizer's one-row test of a joint (x, t) point, and contains
+        assert [region.contains_many(P[i : i + 1, :-1], P[i : i + 1, -1])[0] for i in range(len(P))] == got.tolist()
+        assert [region.contains(p[:-1], p[-1]) for p in P] == got.tolist()
+        assert 0 < got[:-200].sum() < len(P) - 200
 
 
 def _bisect_gauge(body, P, z, steps=120):

@@ -22,7 +22,8 @@ from concavekit.fields import (
     TentField,
     conjugate0,
 )
-from concavekit.geometry import Ball, Box, HatRegion, Interval, Polytope, SpaceTimeBox, from_json
+from concavekit.geometry import Ball, Box, CylinderRegion, HatRegion, Interval, ParabolicRegion, Polytope
+from concavekit.geometry import SpaceTimeBox, from_json
 from concavekit.optimize import MaxProblem, _line_max, maximize, regiomontanus
 from concavekit.sampling import sobol
 
@@ -476,13 +477,13 @@ class TestSobol:
 
 
 def _old_member(feasible):
-    """The membership test each box-like set had before its closed bounds."""
+    """The per-point membership test each feasible set had before its batch test."""
     if isinstance(feasible, tuple):
         lo, hi = (np.asarray(b, dtype=float) for b in feasible)
         tol = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
         bounds = list(zip((lo - tol).tolist(), (hi + tol).tolist()))
         return lambda z: all(a <= c <= b for c, (a, b) in zip(z.tolist(), bounds))
-    if isinstance(feasible, SpaceTimeBox):
+    if isinstance(feasible, (SpaceTimeBox, ParabolicRegion)):
         return lambda z: feasible.contains(z[:-1], z[-1])
     return lambda z: feasible.contains(z, tol=1e-12)
 
@@ -589,6 +590,43 @@ class TestBoxLikeBounds:
         assert not member(z + [0.0, 1.7 - 0.12])
         got = feas.segment(z, 1)
         assert got == _old_segment(feas, member, z, 1) and got[1] < 1.7 - 0.12
+
+
+MEMBERSHIP_SETS = [
+    Ball([0.3, -0.2], 0.8),
+    Ball([0.1, 0.2, -0.3], 1.7),
+    Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]),
+    Polytope(np.vstack([np.eye(3), -np.eye(3)]) + 0.25),
+    SpaceTimeBox(Ball([0.3, -0.2], 0.8), 0.5, 2.0),
+    SpaceTimeBox(Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]), 0.1, 1.7),
+    HatRegion(Ball([0.3, -0.2], 0.8), 0.5),
+    HatRegion(Interval(0.25, 2.0), 1.0),
+    HatRegion(Polytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]), 0.0),
+    CylinderRegion(Ball([0.1, 0.2], 1.7), 0.5, 2.0, 1.0),
+]
+
+
+class TestMembershipSets:
+    """Sets without per-axis bounds give the bits of the per-point membership they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(feasible=st.sampled_from(MEMBERSHIP_SETS), u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_segment_matches_membership_bisection(self, feasible, u):
+        feas, member = optimize._Feasible(feasible), _old_member(feasible)
+        assert feas.bounds is None
+        z = feas.lo + np.array(u[: feas.dim]) * feas.span
+        if not member(z):  # the ascent moves only feasible points
+            return
+        for axis in range(feas.dim):
+            got, want = feas.segment(z, axis), _old_segment(feas, member, z, axis)
+            assert [float(s).hex() for s in got] == [float(s).hex() for s in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(feasible=st.sampled_from(MEMBERSHIP_SETS), count=st.integers(1, 20), seed=st.integers(0, 2**32))
+    def test_starts_match_membership_filter(self, feasible, count, seed):
+        feas = optimize._Feasible(feasible)
+        got, want = feas.starts(count, seed), _old_starts(feas, _old_member(feasible), count, seed)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestPinnedMaxResults:
@@ -787,6 +825,14 @@ class TestRegiomontanus:
     def test_vertical_segment_descriptor(self):
         r = regiomontanus(1.0, 4.0, (np.array([0.0, 0.5]), np.array([0.0, 5.0])))
         assert abs(r.argmax[1] - 2.0) < 1e-6
+
+    def test_space_time_box_constraint(self):
+        # on [-1, 1] x [0.5, 3] the angle (arctan((4 - x)/t) - arctan((1 - x)/t)) / pi
+        # is largest at the corner (1, 0.5), where it is arctan(6) / pi
+        r = regiomontanus(1.0, 4.0, SpaceTimeBox(Interval(-1.0, 1.0), 0.5, 3.0))
+        assert r.argmax.tolist() == pytest.approx([1.0, 0.5], abs=1e-6)
+        assert r.value == pytest.approx(math.atan(6.0) / math.pi, rel=1e-12)
+        assert r.unique
 
 
 class TestProblemJson:
