@@ -145,6 +145,90 @@ def two_branch_mean(p, a, b, lam):
     return np.where(small, centered, anchored), small
 
 
+# one exponent per class: the max and min, the geometric band on both sides
+# of 0, and general exponents whose spread takes both the centred and the
+# max-anchored form
+CLASS_EXPONENTS = [INF, NEG_INF, 1e-13, -1e-13, 0.0, 0.5, -0.5, 40.0, -40.0, 400.0]
+
+
+def class_operands():
+    """Operands with zeros in either place, and weights with both ends."""
+    rng = np.random.default_rng(25)
+    a = np.exp(rng.uniform(-6.0, 6.0, 64))
+    b = np.exp(rng.uniform(-6.0, 6.0, 64))
+    # close pairs, where even p = 400 takes the centred form
+    b[12:24] = a[12:24] * np.exp(rng.uniform(-0.01, 0.01, 12))
+    a[:4] = 0.0
+    b[2:6] = 0.0
+    lam = rng.uniform(0.0, 1.0, 64)
+    lam[6:9] = 0.0
+    lam[9:12] = 1.0
+    return a, b, lam
+
+
+class TestMeanPClasses:
+    @pytest.mark.parametrize("p", CLASS_EXPONENTS)
+    def test_scalar_exponent_equals_per_element_array(self, p):
+        a, b, lam = class_operands()
+        for weights in (lam, 0.0, 0.3, 1.0):
+            got = mean_p(p, a, b, weights)
+            ref = mean_p(np.full(a.shape, p), a, b, weights)
+            assert got.dtype == float and np.array_equal(got, ref)
+            # one element at a time is the same call with scalars
+            scalar_lam = np.broadcast_to(weights, a.shape)
+            one = [mean_p(p, float(x), float(y), float(w)) for x, y, w in zip(a, b, scalar_lam)]
+            assert all(type(v) is float for v in one) and np.array_equal(one, got)
+
+    def test_scalar_exponent_takes_both_general_forms(self):
+        # max(|u|, |v|) = |p| lam' |log a - log b| crosses 30 inside the operands
+        a, b, lam = class_operands()
+        spread = np.abs(np.log(a[12:]) - np.log(b[12:])) * np.maximum(lam[12:], 1 - lam[12:])
+        for p in (40.0, -40.0, 400.0):
+            assert (abs(p) * spread <= 30).any() and (abs(p) * spread > 30).any()
+
+    @pytest.mark.parametrize("p", CLASS_EXPONENTS)
+    def test_scalar_exponent_keeps_the_operand_shape(self, p):
+        a, b, lam = class_operands()
+        got = mean_p(p, a.reshape(8, 8), b.reshape(8, 8)[:1], lam.reshape(8, 8))
+        ref = mean_p(np.full((8, 8), p), a.reshape(8, 8), np.broadcast_to(b.reshape(8, 8)[:1], (8, 8)), lam.reshape(8, 8))
+        assert got.shape == (8, 8) and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("p", CLASS_EXPONENTS)
+    def test_empty_operands_give_an_empty_array(self, p):
+        empty = np.array([])
+        for args in ((empty, empty, 0.5), (empty, 1.0, empty), (1.0, 2.0, empty)):
+            got = mean_p(p, *args)
+            assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == (0,)
+        assert mean_p(np.array([]), 1.0, 2.0, 0.5).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.0, -1.0, 2.0, 0.5), "mean operands must be nonnegative reals"),
+            ((1.0, 1.0, -0.0 - 1e-300, 0.5), "mean operands must be nonnegative reals"),
+            ((1.0, float("nan"), 2.0, 0.5), "mean operands must be nonnegative reals"),
+            ((1.0, 1.0, [2.0, float("nan")], 0.5), "mean operands must be nonnegative reals"),
+            # a negative operand is named before an infinite one
+            ((1.0, INF, -1.0, 0.5), "mean operands must be nonnegative reals"),
+            ((1.0, INF, 2.0, 0.5), "mean operands must be finite"),
+            ((0.0, 1.0, [2.0, -INF], 0.5), "mean operands must be nonnegative reals"),
+            ((INF, [1.0, INF], 2.0, 0.5), "mean operands must be finite"),
+            ((1.0, 1.0, 2.0, 1.5), r"lambda must lie in \[0, 1\]"),
+            ((1.0, 1.0, 2.0, -1e-300), r"lambda must lie in \[0, 1\]"),
+            ((1.0, 1.0, 2.0, float("nan")), r"lambda must lie in \[0, 1\]"),
+            ((1.0, 1.0, 2.0, [0.5, INF]), r"lambda must lie in \[0, 1\]"),
+            # operands are checked before the weight, the exponent before both
+            ((1.0, -1.0, 2.0, 1.5), "mean operands must be nonnegative reals"),
+            ((float("nan"), 1.0, 2.0, 0.5), "exponent must not be NaN"),
+            (([1.0, float("nan")], 1.0, 2.0, 0.5), "exponent must not be NaN"),
+            ((float("nan"), -1.0, 2.0, 1.5), "exponent must not be NaN"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mean_p(*args)
+
+
 class TestHolderExponent:
     def test_finite_formula(self):
         assert holder_exponent(2.0, 2.0) == 1.0
