@@ -39,7 +39,10 @@ with the grid.
 Each grid row's maximizing pair is found with a float64 key that increases
 with M_ell (log M_ell for finite ell, max/min at ell = +/-inf), the first
 such pair in flat-grid order as ``argmax`` would pick it; ``mean_p`` then
-runs once per row, on that pair.  So every reported value comes from
+runs once per row, on that pair.  f0's part of the key (its value at ell =
++/-inf, (1-lam) log f0 in the geometric case, ell log f0 otherwise) is
+computed once per positive grid node and gathered per pair, and f0's value
+is read only at each row's winner.  So every reported value comes from
 ``mean_p`` in extended precision, and a near-tie the key misorders costs a
 few ulps of the sup.
 """
@@ -128,24 +131,32 @@ class BBLReport(Record):
         return self.margin >= -self.tolerance
 
 
-def _log_mean_key(ell: float, a, b, lam: float) -> np.ndarray:
+def _node_key(ell: float, a: np.ndarray, lam: float) -> np.ndarray:
+    """f0's part of the ranking key at grid values a > 0: a itself at ell =
+    +/-inf, (1-lam) log a in the geometric case, ell log a otherwise."""
+    if math.isinf(ell):
+        return a
+    la = np.log(a)
+    return (1 - lam) * la if abs(ell) < _P_GEOMETRIC else ell * la
+
+
+def _log_mean_key(ell: float, x, b, lam: float) -> np.ndarray:
     """Float64 key increasing in M_ell(a, b; lam) for a, b > 0 (broadcast together).
 
-    For finite ell it is log M_ell = (hi + log1p(w expm1(-|x - y|))) / ell with
-    x = ell log a, y = ell log b, hi = max(x, y), w the weight of the smaller
-    term: raw powers s**ell underflow and tie at large |ell|, and a log-sum-exp
-    of log(1-lam) + x, log(lam) + y loses eps/|ell| of resolution at small |ell|.
-    The key is computed in place on a b-shaped array.
+    ``x`` is ``_node_key(ell, a, lam)``, which the grid computes once per node.
+    For finite ell the key is log M_ell = (hi + log1p(w expm1(-|x - y|))) / ell
+    with x = ell log a, y = ell log b, hi = max(x, y), w the weight of the
+    smaller term: raw powers s**ell underflow and tie at large |ell|, and a
+    log-sum-exp of log(1-lam) + x, log(lam) + y loses eps/|ell| of resolution
+    at small |ell|.  The key is computed in place on a b-shaped array.
     """
     if math.isinf(ell):
-        return (np.maximum if ell > 0 else np.minimum)(a, b)
-    la = np.log(a)
+        return (np.maximum if ell > 0 else np.minimum)(x, b)
     y = np.log(b)
     if abs(ell) < _P_GEOMETRIC:
         y *= lam
-        y += (1 - lam) * la
+        y += x
         return y
-    x = ell * la
     y *= ell
     w = np.where(x >= y, lam, 1 - lam)
     d = x - y
@@ -236,14 +247,16 @@ def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
     lam = inst.lam
     first, end = _partner_ranges(inst, Y, grid0.axes)
     w0 = (1 - lam) * grid0.pts
+    pos0 = grid0.values > 0
+    key0 = np.zeros(len(pos0))
+    key0[pos0] = _node_key(inst.ell, grid0.values[pos0], lam)
     top0 = np.zeros(len(Y))
     top1 = np.zeros(len(Y))
     for r0, r1 in _row_blocks(np.prod(end - first, axis=1)):
         rows, node = _pairs(first[r0:r1], end[r0:r1], len(grid0.axes[0]))
-        v0 = grid0.values.take(node)
-        keep = v0 > 0
+        keep = pos0.take(node)
         if not keep.all():
-            rows, node, v0 = rows[keep], node[keep], v0[keep]
+            rows, node = rows[keep], node[keep]
         if len(rows) == 0:
             continue
         # y1 determined by the decomposition y = (1-lam) y0 + lam y1; take,
@@ -252,20 +265,20 @@ def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
         y1 -= w0.take(node, axis=0)
         y1 /= lam
         v1 = inst.f1(y1)
-        if not (np.isfinite(v1).all() and (v1 >= 0).all()):
+        # one pass each, and NaN fails both
+        if not (v1.min() >= 0 and v1.max() < math.inf):
             raise ValueError("mean operands must be nonnegative reals")
         keep = v1 > 0
         if not keep.all():
-            rows, v0, v1 = rows[keep], v0[keep], v1[keep]
+            rows, node, v1 = rows[keep], node[keep], v1[keep]
         # each row's first pair of largest key, as argmax would pick it
         bounds = np.searchsorted(rows, np.arange(r1 - r0 + 1))
         hit = np.flatnonzero(bounds[1:] > bounds[:-1])
         starts = bounds[hit]
-        key = _log_mean_key(inst.ell, v0, v1, lam)
-        top = np.maximum.reduceat(key, starts)
-        best = np.flatnonzero(key == np.repeat(top, np.diff(bounds)[hit]))
+        key = _log_mean_key(inst.ell, key0.take(node), v1, lam)
+        best = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, starts), np.diff(bounds)[hit]))
         best = best[np.searchsorted(best, starts)]
-        top0[r0 + hit] = v0[best]
+        top0[r0 + hit] = grid0.values.take(node[best])
         top1[r0 + hit] = v1[best]
     return mean_p(inst.ell, top0, top1, lam)
 
@@ -326,13 +339,12 @@ def verify_bbl(inst: BBLInstance) -> BBLReport:
     if m0 <= 0 or m1 <= 0:
         raise ValueError("both masses must be positive")
     exp = bbl_exponent(inst.ell, inst.dim)
-    rhs = mean_p(exp, m0, m1, inst.lam)
-    rhs_c = mean_p(exp, m0_c, m1_c, inst.lam)
+    rhs, rhs_c = mean_p(exp, [m0, m0_c], [m1, m1_c], inst.lam).tolist()
     tol = 2.0 * (abs(lhs - lhs_c) + abs(rhs - rhs_c)) + 1e-9 * max(lhs, rhs)
     return BBLReport(
         lhs=lhs,
-        rhs=float(rhs),
-        margin=lhs - float(rhs),
+        rhs=rhs,
+        margin=lhs - rhs,
         tolerance=tol,
         mass0=m0,
         mass1=m1,

@@ -10,6 +10,12 @@ Finite nonzero exponents are evaluated in the log domain using 80-bit
 extended precision internally, so that order relations between means
 (monotonicity in p, the Holder product inequality) hold to within a few
 double-precision ulps even for extreme exponents.
+
+A single exponent's class (+/-inf, geometric, general) is decided once per
+call, and its formula runs on all operands at once; an array of exponents
+runs the same formulas on the elements of each class.  Each operand is
+validated by one min/max pass; the detailed checks run only to choose the
+error message.
 """
 
 from __future__ import annotations
@@ -66,65 +72,118 @@ def exponent_str(p: float) -> str:
     return repr(float(p))
 
 
+def _range(v):
+    """(min, max) of an array, NaN if it holds a NaN; (0, 0) if it is empty."""
+    if v.ndim == 0:
+        return float(v), float(v)
+    return (v.min(), v.max()) if v.size else (0.0, 0.0)
+
+
 def _validate_query(a, b, lam):
+    # one min/max pass per array, which NaN fails; the tests below only
+    # choose the message
+    (a0, a1), (b0, b1), (l0, l1) = _range(a), _range(b), _range(lam)
+    if a0 >= 0 and b0 >= 0 and a1 < INF and b1 < INF and l0 >= 0 and l1 <= 1:
+        return
     if np.isnan(a).any() or np.isnan(b).any() or (a < 0).any() or (b < 0).any():
         raise ValueError("mean operands must be nonnegative reals")
     if np.isinf(a).any() or np.isinf(b).any():
         raise ValueError("mean operands must be finite")
-    if np.isnan(lam).any() or (lam < 0).any() or (lam > 1).any():
-        raise ValueError("lambda must lie in [0, 1]")
+    raise ValueError("lambda must lie in [0, 1]")
+
+
+def _max(p, a, b, lam):
+    return np.maximum(a, b)
+
+
+def _min(p, a, b, lam):
+    return np.minimum(a, b)
+
+
+def _geometric(p, a, b, lam):
+    return np.exp((1 - lam) * np.log(a) + lam * np.log(b))
+
+
+def _part(x, m):
+    """x on the elements m, or x itself if it is one exponent for all."""
+    return x[m] if np.ndim(x) else x
+
+
+def _general(p, a, b, lam):
+    la = np.log(a)
+    lb = np.log(b)
+    diff = la - lb
+    u = p * lam * diff
+    v = -p * (1 - lam) * diff
+    small = np.maximum(np.abs(u), np.abs(v)) <= 30.0
+    if small.all():
+        return _centred(p, la, lb, lam, u, v)
+    big = ~small
+    if big.all():
+        return _anchored(p, la, lb, lam)
+    r = np.empty(la.shape, dtype=np.longdouble)
+    r[small] = _centred(_part(p, small), la[small], lb[small], lam[small], u[small], v[small])
+    r[big] = _anchored(_part(p, big), la[big], lb[big], lam[big])
+    return r
+
+
+def _centred(p, la, lb, lam, u, v):
+    # center on the geometric mean: log M = mu + log1p(w)/p with
+    # w = (1-lam) expm1(u) + lam expm1(v), u + weighted v = 0, so the
+    # small-p cancellation happens inside expm1 at full precision
+    mu = (1 - lam) * la + lam * lb
+    w = (1 - lam) * np.expm1(u) + lam * np.expm1(v)
+    return np.exp(mu + np.log1p(w) / p)
+
+
+def _anchored(p, la, lb, lam):
+    # wide-exponent fallback: max-anchored weighted log-sum-exp
+    with np.errstate(divide="ignore"):
+        t0 = np.log1p(-lam) + p * la
+        t1 = np.log(lam) + p * lb
+    hi = np.maximum(t0, t1)
+    s = np.exp(t0 - hi) + np.exp(t1 - hi)
+    return np.exp((hi + np.log(s)) / p)
+
+
+def _formula(p: float):
+    """The formula of one exponent's class."""
+    if math.isinf(p):
+        return _max if p > 0 else _min
+    return _geometric if abs(p) < _P_GEOMETRIC else _general
 
 
 def _mean_ld(p, a, b, lam):
-    """Power mean on longdouble arrays; inputs pre-validated and 1-d."""
-    out = np.zeros(p.shape, dtype=np.longdouble)
-    pos = (a > 0) & (b > 0)
-    if not pos.any():
-        return out
-    m = pos & np.isposinf(p)
-    if m.any():
-        out[m] = np.maximum(a, b)[m]
-    m = pos & np.isneginf(p)
-    if m.any():
-        out[m] = np.minimum(a, b)[m]
-    fin = pos & np.isfinite(p)
-    if fin.any():
-        la = np.log(a[fin])
-        lb = np.log(b[fin])
-        lf = lam[fin]
-        pf = p[fin]
-        res = np.empty(la.shape, dtype=np.longdouble)
-        geo = np.abs(pf) < _P_GEOMETRIC
-        if geo.any():
-            res[geo] = np.exp((1 - lf[geo]) * la[geo] + lf[geo] * lb[geo])
-        gen = ~geo
-        if gen.any():
-            la, lb, lf, pf = la[gen], lb[gen], lf[gen], pf[gen]
-            diff = la - lb
-            u = pf * lf * diff
-            v = -pf * (1 - lf) * diff
-            small = np.maximum(np.abs(u), np.abs(v)) <= 30.0
-            big = ~small
-            r = np.empty(la.shape, dtype=np.longdouble)
-            if small.any():
-                # center on the geometric mean: log M = mu + log1p(w)/p with
-                # w = (1-lam) expm1(u) + lam expm1(v), u + weighted v = 0, so the
-                # small-p cancellation happens inside expm1 at full precision
-                lk = lf[small]
-                mu = (1 - lk) * la[small] + lk * lb[small]
-                w = (1 - lk) * np.expm1(u[small]) + lk * np.expm1(v[small])
-                r[small] = np.exp(mu + np.log1p(w) / pf[small])
-            if big.any():
-                # wide-exponent fallback: max-anchored weighted log-sum-exp
-                lk, pk = lf[big], pf[big]
-                with np.errstate(divide="ignore"):
-                    t0 = np.log1p(-lk) + pk * la[big]
-                    t1 = np.log(lk) + pk * lb[big]
-                hi = np.maximum(t0, t1)
-                s = np.exp(t0 - hi) + np.exp(t1 - hi)
-                r[big] = np.exp((hi + np.log(s)) / pk)
-            res[gen] = r
-        out[fin] = res
+    """Power mean on validated longdouble operands of one shape.
+
+    ``p`` is a float, whose class then holds for every element, or a
+    longdouble array of the operands' shape.  The mean is 0 where an operand
+    is; the formulas see only the other elements.
+    """
+    pos = np.minimum(a, b) > 0
+    if np.ndim(p) == 0:
+        formula = _formula(float(p))
+        if pos.all():
+            return formula(p, a, b, lam)
+        parts = [(pos, formula)]
+    else:
+        geo = np.abs(p) < _P_GEOMETRIC
+        parts = [
+            (pos & np.isposinf(p), _max),
+            (pos & np.isneginf(p), _min),
+            (pos & geo, _geometric),
+            (pos & np.isfinite(p) & ~geo, _general),
+        ]
+    out = np.zeros(a.shape, dtype=np.longdouble)
+    for m, formula in parts:
+        if m.any():
+            out[m] = formula(_part(p, m), a[m], b[m], lam[m])
+    return out
+
+
+def _ld(v, shape):
+    out = np.empty(shape, dtype=np.longdouble)
+    out[...] = v
     return out
 
 
@@ -149,19 +208,15 @@ def mean_p(p, a, b, lam):
     scalar = all(np.isscalar(v) or isinstance(v, str) for v in (p, a, b, lam))
     if isinstance(p, str):
         p = as_exponent(p)
-    p, a, b, lam = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (p, a, b, lam))
-    )
+    p, a, b, lam = (np.asarray(v, dtype=float) for v in (p, a, b, lam))
     if np.isnan(p).any():
         raise ValueError("exponent must not be NaN")
     _validate_query(a, b, lam)
-    shape = p.shape
-    out = _mean_ld(
-        p.reshape(-1).astype(np.longdouble),
-        a.reshape(-1).astype(np.longdouble),
-        b.reshape(-1).astype(np.longdouble),
-        lam.reshape(-1).astype(np.longdouble),
-    ).astype(float).reshape(shape)
+    # at least 1-d, as if every input were
+    shape = np.broadcast(p, a, b, lam).shape or (1,)
+    # one exponent is passed as a float, so its class is decided once
+    p = float(p) if p.ndim == 0 else _ld(p, shape)
+    out = _mean_ld(p, _ld(a, shape), _ld(b, shape), _ld(lam, shape)).astype(float)
     return float(out[0]) if scalar else out
 
 

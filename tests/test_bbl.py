@@ -12,6 +12,7 @@ from concavekit.bbl import (
     BBLInstance,
     _field_grid,
     _log_mean_key,
+    _node_key,
     _partner_ranges,
     _sup_grid,
     sup_convolution,
@@ -290,7 +291,8 @@ class TestSupGridRanking:
         log_target = rng.uniform(-1e-12, 1e-12, (16, 64))
         b = np.exp((log_target - (1 - lam) * np.log(a)) / lam)
         rows = np.arange(16)
-        best = _log_mean_key(ell, a, b, lam).argmax(axis=1)
+        # the key composes f0's part, computed per node, with f1's values
+        best = _log_mean_key(ell, _node_key(ell, a, lam), b, lam).argmax(axis=1)
         ref = mean_p(ell, np.broadcast_to(a, b.shape), b, lam).max(axis=1)
         got = mean_p(ell, a[best], b[rows, best], lam)
         np.testing.assert_allclose(got, ref, rtol=4 * EPS, atol=0)

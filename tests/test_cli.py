@@ -64,6 +64,14 @@ class TestMeans:
     def test_bad_lambda_is_input_error(self):
         assert main(["means", "--p", "1", "--a", "1", "--b", "2", "--lambda", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "a, lam, message",
+        [("-1", "0.5", "mean operands must be nonnegative reals"), ("1", "1.5", "lambda must lie in [0, 1]")],
+    )
+    def test_refusals_print_their_message(self, a, lam, message, capsys):
+        assert main(["means", "--p", "1", "--a", a, "--b", "2", "--lambda", lam]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_exponents_still_read_inf(self, capsys):
         assert main(["means", "--p", "inf", "--a", "1", "--b", "4", "--lambda", "0.5"]) == 0
         assert capsys.readouterr().out.strip() == "4.0"

@@ -22,7 +22,7 @@ from concavekit.fields import (
     TentField,
     conjugate0,
 )
-from concavekit.geometry import Ball, Box, CylinderRegion, HatRegion, Interval, ParabolicRegion, Polytope
+from concavekit.geometry import Ball, Box, ConvexCone, CylinderRegion, HatRegion, Interval, ParabolicRegion, Polytope
 from concavekit.geometry import SpaceTimeBox, from_json
 from concavekit.optimize import MaxProblem, _line_max, maximize, regiomontanus
 from concavekit.sampling import sobol
@@ -351,6 +351,14 @@ class TestLineSearch:
         monkeypatch.setattr(optimize, "sobol", lambda d, seed: pytest.fail("drew starts before the refusal"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             maximize(MaxProblem(objective=field, feasible=feasible))
+
+    def test_hat_region_over_a_cone_is_refused(self):
+        # its x sampling box [-1, 1] bounds no member set: maximize searched it
+        # and certified argmax (1, 1), value -16, though (5, 1) has value 0
+        feasible = HatRegion(ConvexCone.orthant(1), 0.5)
+        assert feasible.contains([5.0], 1.0)
+        with pytest.raises(ValueError, match="^a hat region over a cone has an unbounded x range$"):
+            maximize(MaxProblem(objective=lambda z: -(z[0] - 5) ** 2 - (z[1] - 1) ** 2, feasible=feasible))
 
     @pytest.mark.parametrize(
         "lo, hi", [([0, 1], [0, 3, 4]), ([[0, 1]], [[0, 3]])], ids=["unequal_length", "nested"]
