@@ -399,7 +399,8 @@ class Box(ConvexBody, kind="box", keys={"lo": float_array, "hi": float_array}):
 
     def gauge(self, P, z):
         out = None
-        for c, zi, up, dn in zip(np.asarray(P, dtype=float).T, z.tolist(), (self.hi - z).tolist(), (z - self.lo).tolist()):
+        cols = np.asarray(P, dtype=float).T
+        for c, zi, up, dn in zip(cols, z.tolist(), (self.hi - z).tolist(), (z - self.lo).tolist()):
             g = np.maximum((c - zi) / up, (zi - c) / dn)
             out = g if out is None else np.maximum(out, g, out=out)
         return out

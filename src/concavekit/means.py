@@ -182,6 +182,7 @@ def _mean_ld(p, a, b, lam):
 
 
 def _ld(v, shape):
+    """v broadcast to shape, as a new longdouble array."""
     out = np.empty(shape, dtype=np.longdouble)
     out[...] = v
     return out
