@@ -125,15 +125,6 @@ def rowwise(ufunc, A) -> np.ndarray:
     return out
 
 
-def rows_minus(P, c) -> np.ndarray:
-    """P - c for an (m, n) array P and a point c, a column at a time: numpy
-    subtracts a short row from each row of P about 4x slower."""
-    A = np.empty(np.shape(P))
-    for i, ci in enumerate(np.asarray(c, dtype=float).tolist()):
-        np.subtract(P[:, i], ci, out=A[:, i])
-    return A
-
-
 def row_norm(A) -> np.ndarray:
     """Euclidean norm of each row of an (m, n) array."""
     A = np.asarray(A)
@@ -388,22 +379,14 @@ class Box(ConvexBody, kind="box", keys={"lo": float_array, "hi": float_array}):
         u = np.asarray(u, dtype=float)
         return np.where(u >= 0, self.hi, self.lo)
 
-    # Both tests run a column at a time, as rows_minus does.
-
     def contains_many(self, pts, tol=_MEMBERSHIP_TOL):
         p = np.asarray(pts, dtype=float)
-        out = np.ones(len(p), dtype=bool)
-        for c, lo, hi in zip(p.T, (self.lo - tol).tolist(), (self.hi + tol).tolist()):
-            out &= (c >= lo) & (c <= hi)
-        return out
+        return rowwise(np.logical_and, (p >= self.lo - tol) & (p <= self.hi + tol))
 
     def gauge(self, P, z):
-        out = None
-        cols = np.asarray(P, dtype=float).T
-        for c, zi, up, dn in zip(cols, z.tolist(), (self.hi - z).tolist(), (z - self.lo).tolist()):
-            g = np.maximum((c - zi) / up, (zi - c) / dn)
-            out = g if out is None else np.maximum(out, g, out=out)
-        return out
+        up = (P - z) / (self.hi - z)
+        dn = (z - P) / (z - self.lo)
+        return rowwise(np.maximum, np.maximum(up, dn, out=up))
 
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
@@ -465,15 +448,15 @@ class Ball(ConvexBody, kind="ball", keys={"center": float_array, "radius": numbe
 
     def contains_many(self, pts, tol=_MEMBERSHIP_TOL):
         p = np.asarray(pts, dtype=float)
-        return row_norm(rows_minus(p, self.center)) <= self.radius + tol
+        return row_norm(p - self.center) <= self.radius + tol
 
     def gauge(self, P, z):
         w = z - self.center
         if not w.any():
-            return row_norm(rows_minus(P, self.center)) / self.radius
+            return row_norm(P - self.center) / self.radius
         # z + d/g lies on the sphere at the positive root of A g^2 - 2B g - C,
         # taken in whichever of its two forms does not cancel
-        d = rows_minus(P, z)
+        d = P - z
         A = self.radius**2 - w @ w
         B = d @ w
         C = rowwise(np.add, d * d)

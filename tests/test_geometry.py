@@ -23,7 +23,6 @@ from concavekit.geometry import (
     interior_witness_outside,
     minkowski_combine,
     row_norm,
-    rows_minus,
     rowwise,
     straightening_chart,
     support_of_combination,
@@ -526,27 +525,6 @@ class TestRowKernels:
             with np.errstate(invalid="ignore", over="ignore"):
                 assert np.array_equal(_bits(rowwise(np.add, view) + 0.0), _bits(view.sum(axis=1)))
                 assert np.array_equal(_bits(row_norm(view)), _bits(np.linalg.norm(view, axis=1)))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 9])
-    def test_column_kernels_match_the_row_broadcasts(self, n):
-        # Box and Ball work a column at a time; each value keeps the bits of
-        # the whole-array broadcast they replace, NaN and the tolerance included
-        rng = make_rng(90 + n)
-        P = rng.uniform(-2.0, 2.0, (3000, n))
-        P[rng.uniform(size=P.shape) < 0.01] = np.nan
-        box = Box(-rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n))
-        z = rng.uniform(-0.4, 0.4, n)
-        for tol in (_MEMBERSHIP_TOL, 0.0, -1e-3):
-            ref = rowwise(np.logical_and, (P >= box.lo - tol) & (P <= box.hi + tol))
-            assert np.array_equal(box.contains_many(P, tol), ref)
-        with np.errstate(invalid="ignore"):
-            up, dn = (P - z) / (box.hi - z), (z - P) / (z - box.lo)
-            assert np.array_equal(_bits(box.gauge(P, z)), _bits(rowwise(np.maximum, np.maximum(up, dn))))
-            # an off-centre gauge differs from the former code only in P - anchor
-            assert np.array_equal(_bits(rows_minus(P, z + 0.2)), _bits(P - (z + 0.2)))
-            ball = Ball(z, 1.3)
-            assert np.array_equal(ball.contains_many(P), row_norm(P - z) <= 1.3 + _MEMBERSHIP_TOL)
-            assert np.array_equal(_bits(ball.gauge(P, z)), _bits(row_norm(P - z) / 1.3))
 
     @pytest.mark.parametrize(
         "body",
