@@ -926,7 +926,10 @@ class ParabolicRegion:
     Concrete subclasses supply ``contains_many``; the base class carries the
     sampling bounds (an x-box and a time window) that make the membership
     predicate sampleable, plus the straightening chart for its alpha.
+    ``bounded`` says whether the x-box contains every member's x.
     """
+
+    bounded = True
 
     def __init__(self, dim, alpha, x_lo, x_hi, t_lo, t_hi):
         self.dim = dim
@@ -970,8 +973,8 @@ class HatRegion(ParabolicRegion):
     """Region {(x, t) : x / f(t) in A} with f = t^alpha, or log t at alpha=0.
 
     A may be a convex body or a :class:`ConvexCone`.  For a cone the region
-    is A x (0, inf), sampled over x in [-1, 1]^n (cones are unbounded); for
-    a body the x sampling box is the scaled bounding box.
+    is A x (0, inf), sampled over x in [-1, 1]^n and not ``bounded`` (cones
+    are unbounded); for a body the x sampling box is the scaled bounding box.
     """
 
     def __init__(self, A, alpha: float, t_range=None):
@@ -987,6 +990,7 @@ class HatRegion(ParabolicRegion):
             x_lo = np.minimum(lo * f_lo, lo * f_hi)
             x_hi = np.maximum(hi * f_lo, hi * f_hi)
         super().__init__(A.dim, alpha, x_lo, x_hi, t_lo, t_hi)
+        self.bounded = not isinstance(A, ConvexCone)
 
     def contains_many(self, X, T):
         X = np.asarray(X, dtype=float)
@@ -1020,6 +1024,7 @@ class UnionRegion(ParabolicRegion):
         t_hi = max(p.t_hi for p in parts)
         super().__init__(parts[0].dim, parts[0].alpha, x_lo, x_hi, t_lo, t_hi)
         self.parts = list(parts)
+        self.bounded = all(p.bounded for p in self.parts)
 
     def contains_many(self, X, T):
         out = np.zeros(len(np.atleast_1d(T)), dtype=bool)

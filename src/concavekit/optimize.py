@@ -61,9 +61,8 @@ import numpy as np
 
 from .convolve import PoissonIndicatorField
 from .fields import ScalarField, SpaceTimeField, field_from_json
-from .geometry import Box, ConvexBody, ConvexCone, Descriptor, HatRegion, Interval, Key
-from .geometry import ParabolicRegion, Record, SpaceTimeBox, check_keys, from_json
-from .geometry import integer, number, read_key
+from .geometry import Box, ConvexBody, Descriptor, Interval, Key, ParabolicRegion, Record
+from .geometry import SpaceTimeBox, check_keys, from_json, integer, number, read_key
 from .sampling import sobol
 
 __all__ = [
@@ -182,9 +181,9 @@ class _Feasible:
             widen = 1e-12 if type(feasible) in (Box, Interval) else None
             self.inside = lambda P: feasible.contains_many(P, 1e-12)
         elif isinstance(feasible, (SpaceTimeBox, ParabolicRegion)):
-            if isinstance(feasible, HatRegion) and isinstance(feasible.base, ConvexCone):
-                # its x sampling box [-1, 1]^n bounds no member set
-                raise ValueError("a hat region over a cone has an unbounded x range")
+            if isinstance(feasible, ParabolicRegion) and not feasible.bounded:
+                # its x sampling box does not hold the members
+                raise ValueError("the region's x range is unbounded")
             stb = isinstance(feasible, SpaceTimeBox)
             x_lo, x_hi = feasible.body.bounding_box() if stb else (feasible.x_lo, feasible.x_hi)
             lo, hi = np.append(x_lo, feasible.t_lo), np.append(x_hi, feasible.t_hi)

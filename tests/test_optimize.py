@@ -23,7 +23,7 @@ from concavekit.fields import (
     conjugate0,
 )
 from concavekit.geometry import Ball, Box, ConvexCone, CylinderRegion, HatRegion, Interval, ParabolicRegion, Polytope
-from concavekit.geometry import SpaceTimeBox, from_json
+from concavekit.geometry import SpaceTimeBox, UnionRegion, from_json
 from concavekit.optimize import MaxProblem, _line_max, maximize, regiomontanus
 from concavekit.sampling import sobol
 
@@ -352,12 +352,16 @@ class TestLineSearch:
         with pytest.raises(ValueError, match=f"^{message}$"):
             maximize(MaxProblem(objective=field, feasible=feasible))
 
-    def test_hat_region_over_a_cone_is_refused(self):
+    @pytest.mark.parametrize("union", [False, True], ids=["hat", "union"])
+    def test_hat_region_over_a_cone_is_refused(self, union):
         # its x sampling box [-1, 1] bounds no member set: maximize searched it
-        # and certified argmax (1, 1), value -16, though (5, 1) has value 0
+        # and certified argmax (1, 1), value -16, though (5, 1) has value 0;
+        # a union copies that box from its part
         feasible = HatRegion(ConvexCone.orthant(1), 0.5)
-        assert feasible.contains([5.0], 1.0)
-        with pytest.raises(ValueError, match="^a hat region over a cone has an unbounded x range$"):
+        if union:
+            feasible = UnionRegion([feasible, CylinderRegion(Interval(-1.0, 0.0), 0.5, 2.0, 0.5)])
+        assert feasible.contains([5.0], 1.0) and not feasible.bounded
+        with pytest.raises(ValueError, match="^the region's x range is unbounded$"):
             maximize(MaxProblem(objective=lambda z: -(z[0] - 5) ** 2 - (z[1] - 1) ** 2, feasible=feasible))
 
     @pytest.mark.parametrize(
