@@ -23,9 +23,11 @@ through the partner y1 = (y - (1-lam) y0) / lam.  Only nodes whose partner
 can lie in f1's support bounding box [lo1, hi1] are enumerated, the box
 widened per axis by 1e-9 (1 + |lo1| + |hi1| + (|lo0| + |hi0|) / lam), with
 [lo0, hi0] f0's box.  On a tensor grid these nodes form one index range per
-axis, found by binary search.  Nodes where f0 = 0 are dropped, f1 is
-evaluated and validated on the remaining pairs only, and the key below is
-computed where f1 > 0.  This relies on the contract of
+axis, found by binary search.  When f0's positive nodes form one run on
+each grid line (the last index running), as they do for a field positive
+on a convex set, the last axis's range is cut to that run; otherwise the
+pairs of the other nodes stay.  f1 is evaluated and validated on every
+pair enumerated.  This relies on the contract of
 ``ScalarField.support``: a field vanishes outside its support's bounding box
 widened by 1e-9 (1 + |lo| + |hi|), which covers the membership tolerance;
 the slack above adds the rounding of the partners.  f1 values outside the
@@ -38,13 +40,14 @@ with the grid.
 
 Each grid row's maximizing pair is found with a float64 key that increases
 with M_ell (log M_ell for finite ell, max/min at ell = +/-inf), the first
-such pair in flat-grid order as ``argmax`` would pick it; ``mean_p`` then
-runs once per row, on that pair.  f0's part of the key (its value at ell =
-+/-inf, (1-lam) log f0 in the geometric case, ell log f0 otherwise) is
-computed once per positive grid node and gathered per pair, and f0's value
-is read only at each row's winner.  So every reported value comes from
-``mean_p`` in extended precision, and a near-tie the key misorders costs a
-few ulps of the sup.
+such pair in flat-grid order as ``argmax`` would pick it; a pair with a zero
+value gets the key -inf, so it never wins, and a row whose pairs all have
+one gets 0.  ``mean_p`` then runs once per row, on the winning pair.  f0's
+part of the key (its value at ell = +/-inf, (1-lam) log f0 in the geometric
+case, ell log f0 otherwise) is computed once per positive grid node and
+gathered per pair, and f0's value is read only at each row's winner.  So
+every reported value comes from ``mean_p`` in extended precision, and a
+near-tie the key misorders costs a few ulps of the sup.
 """
 
 from __future__ import annotations
@@ -211,21 +214,39 @@ def _partner_ranges(inst: BBLInstance, Y: np.ndarray, axes0: list):
     return first, np.maximum(end, first)
 
 
-def _pairs(first: np.ndarray, end: np.ndarray, ppa: int):
-    """(row, flat grid node) of every pair in the index boxes [first, end) per row.
+def _positive_runs(pos0: np.ndarray, ppa: int):
+    """Per line of f0's grid (the last index running), the range [lo, hi) of
+    its positive nodes, or None if some line's positive nodes have a gap."""
+    pos = pos0.reshape(-1, ppa)
+    lo = pos.argmax(axis=1)
+    hi = ppa - pos[:, ::-1].argmax(axis=1)
+    none = ~pos[np.arange(len(pos)), lo]
+    lo[none] = hi[none] = 0
+    return (lo, hi) if (pos.sum(axis=1) == hi - lo).all() else None
+
+
+def _pair_nodes(first: np.ndarray, end: np.ndarray, ppa: int, runs=None):
+    """(flat grid node of every pair, pairs per row) for the index boxes
+    [first, end) per row, the last axis cut to ``runs`` if given.
 
     Rows ascend, and each row's nodes come in flat-grid order: a segment per
     (row, leading indices) holds a contiguous run of the flat index.
     """
-    rows = np.arange(len(first))
+    seg = np.arange(len(first))  # the row of each segment
     node = np.zeros(len(first), dtype=np.intp)
-    for i in range(first.shape[1]):
-        count = end[rows, i] - first[rows, i]
+    last = first.shape[1] - 1
+    for i in range(last + 1):
+        lo, hi = first[seg, i], end[seg, i]
+        if i == last and runs is not None:
+            lo = np.maximum(lo, runs[0].take(node))
+            hi = np.maximum(np.minimum(hi, runs[1].take(node)), lo)
+        count = hi - lo
         # the runs [start, start + count) of each segment, concatenated
-        start = node * ppa + first[rows, i] - (np.cumsum(count) - count)
+        start = node * ppa + lo - (np.cumsum(count) - count)
         node = np.arange(count.sum()) + np.repeat(start, count)
-        rows = np.repeat(rows, count)
-    return rows, node
+        if i < last:
+            seg = np.repeat(seg, count)
+    return node, np.bincount(seg, weights=count, minlength=len(first)).astype(np.intp)
 
 
 def _row_blocks(pairs_per_row: np.ndarray):
@@ -246,41 +267,45 @@ def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
     values are positive get 0.
     """
     lam = inst.lam
+    ppa = len(grid0.axes[0])
     first, end = _partner_ranges(inst, Y, grid0.axes)
-    w0 = (1 - lam) * grid0.pts
     pos0 = grid0.values > 0
-    every0 = pos0.all()
+    runs = _positive_runs(pos0, ppa)
     key0 = np.zeros(len(pos0))
     key0[pos0] = _node_key(inst.ell, grid0.values[pos0], lam)
+    # a coordinate per row, so the partners come out column-major and the
+    # fields' broadcasts run down whole columns
+    Yt = Y.T.copy()
+    w0t = (1 - lam) * grid0.pts.T
     top0 = np.zeros(len(Y))
     top1 = np.zeros(len(Y))
     for r0, r1 in _row_blocks(np.prod(end - first, axis=1)):
-        rows, node = _pairs(first[r0:r1], end[r0:r1], len(grid0.axes[0]))
-        if not every0:
-            keep = pos0.take(node)
-            rows, node = rows[keep], node[keep]
-        if len(rows) == 0:
+        node, count = _pair_nodes(first[r0:r1], end[r0:r1], ppa, runs)
+        hit = np.flatnonzero(count)
+        if len(hit) == 0:
             continue
-        # y1 determined by the decomposition y = (1-lam) y0 + lam y1; take,
-        # because numpy gathers 2-d rows by fancy indexing about 10x slower
-        y1 = Y[r0:r1].take(rows, axis=0)
-        y1 -= w0.take(node, axis=0)
+        # y1 determined by the decomposition y = (1-lam) y0 + lam y1
+        y1 = Yt[:, r0:r1].repeat(count, axis=1)
+        y1 -= w0t.take(node, axis=1)
         y1 /= lam
-        v1 = inst.f1(y1)
+        v1 = inst.f1(y1.T)
         # one pass each, and NaN fails both
         if not (v1.min() >= 0 and v1.max() < math.inf):
             raise ValueError("mean operands must be nonnegative reals")
-        keep = v1 > 0
-        if not keep.all():
-            rows, node, v1 = rows[keep], node[keep], v1[keep]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = _log_mean_key(inst.ell, key0.take(node), v1, lam)
+        zero = v1 == 0
+        if runs is None:
+            zero |= ~pos0.take(node)
+        np.copyto(key, -math.inf, where=zero)
         # each row's first pair of largest key, as argmax would pick it
-        bounds = np.searchsorted(rows, np.arange(r1 - r0 + 1))
-        hit = np.flatnonzero(bounds[1:] > bounds[:-1])
-        starts = bounds[hit]
-        key = _log_mean_key(inst.ell, key0.take(node), v1, lam)
+        count = count[hit]
+        starts = np.cumsum(count) - count
         top = np.maximum.reduceat(key, starts)
-        best = np.flatnonzero(key == np.repeat(top, np.diff(bounds)[hit]))
+        best = np.flatnonzero(key == np.repeat(top, count))
         best = best[np.searchsorted(best, starts)]
+        won = top > -math.inf
+        hit, best = hit[won], best[won]
         top0[r0 + hit] = grid0.values.take(node[best])
         top1[r0 + hit] = v1[best]
     return mean_p(inst.ell, top0, top1, lam)

@@ -22,6 +22,7 @@ from concavekit.convolve import oracle_W_interval
 from concavekit.fields import (
     GaussWeierstrassKernel,
     GaussWeierstrassSlice,
+    GridField,
     IndicatorField,
     ProductField,
     PullbackField,
@@ -236,6 +237,34 @@ class TestSupGridRanking:
         ref = brute_pair_means(inst, Y, ppa).max(axis=1)
         assert (ref == 0).any() and (ref > 0).any()
         np.testing.assert_allclose(_sup_grid(inst, Y, grid0), ref, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("ell", ["-1/n", "0", "1", "inf"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_f0_with_a_gap_in_a_grid_line_matches_brute_force(self, dim, ell):
+        # f0 vanishes on a band across its box, so a grid line's positive
+        # nodes form two runs and the pairs of the zero nodes stay, ranked last
+        values = np.ones((6,) * dim)
+        values[2:4] = 0.0
+        if dim == 2:
+            values = values.T
+        f0 = GridField(values, [0.0] * dim, [1.0] * dim)
+        f1 = data_field("tent", Box([0.25] * dim, [1.5] * dim))
+        inst = BBLInstance(f0, f1, RANK_ELLS[ell](dim), 0.4, (64, 144)[dim - 1])
+        ppa = inst.points_per_axis
+        grid0 = _field_grid(inst.f0, ppa)
+        assert bbl._positive_runs(grid0.values > 0, ppa) is None
+        Y = padded_rows(inst, ppa)
+        ref = brute_pair_means(inst, Y, ppa).max(axis=1)
+        assert (ref == 0).any() and (ref > 0).any()
+        np.testing.assert_allclose(_sup_grid(inst, Y, grid0), ref, rtol=4 * EPS, atol=0)
+
+    def test_positive_runs_per_grid_line(self):
+        pos = np.array([[0, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
+        lo, hi = bbl._positive_runs(pos.reshape(-1), 4)
+        np.testing.assert_array_equal(lo, [1, 0, 0])
+        np.testing.assert_array_equal(hi, [3, 0, 4])
+        pos[1, [0, 2]] = True
+        assert bbl._positive_runs(pos.reshape(-1), 4) is None
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("face", ["lo", "hi"])
