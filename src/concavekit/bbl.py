@@ -225,9 +225,9 @@ def _positive_runs(pos0: np.ndarray, ppa: int):
     return (lo, hi) if (pos.sum(axis=1) == hi - lo).all() else None
 
 
-def _pair_nodes(first: np.ndarray, end: np.ndarray, ppa: int, runs=None):
+def _pair_nodes(first: np.ndarray, end: np.ndarray, ppa: int, runs):
     """(flat grid node of every pair, pairs per row) for the index boxes
-    [first, end) per row, the last axis cut to ``runs`` if given.
+    [first, end) per row, the last axis cut to ``runs`` unless it is None.
 
     Rows ascend, and each row's nodes come in flat-grid order: a segment per
     (row, leading indices) holds a contiguous run of the flat index.
