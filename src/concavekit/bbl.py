@@ -6,56 +6,51 @@ exponent ell >= -1/n, and a mixing weight lam in (0, 1): a descriptor of kind
 
     S(y) = sup { M_ell(f0(y0), f1(y1); lam) : (1-lam) y0 + lam y1 = y }
 
-is evaluated by maximizing over a midpoint grid of f0's support (the
-essential sup of the continuous instance families used here equals the sup),
-and the inequality
+is maximized over a midpoint grid of f0's support (the essential sup of the
+continuous instance families used here equals the sup), and the inequality
 
     integral S(y) dy  >=  M_{ell/(1+n ell)}(mass f0, mass f1; lam)
 
 is checked up to a first-order grid tolerance.  The grid sup can only
-undershoot the true sup, so the left side carries an O(h) downward bias;
-the tolerance is calibrated from the same computation at half resolution
-(which doubles that bias), plus the matching mass-quadrature bias on the
-right side.
+undershoot, so the left side carries an O(h) downward bias; the tolerance is
+calibrated from the same computation at half resolution (which doubles that
+bias), plus the matching mass-quadrature bias on the right side.
+
+One pass.  ``verify_bbl`` refuses ell < -1/n before any grid work.  It stacks
+each grid (the rows y, f0's and f1's) at both resolutions, evaluates each
+field once on its stacked grids, refusing a negative or NaN value, and
+enumerates the pairs of both resolutions' rows together, each row with f0's
+grid of its own resolution, in blocks of at most ``_PAIR_BUDGET`` (2**14)
+pairs or one larger row, so memory does not grow with the grid.
 
 Which pairs are evaluated.  A row y pairs with a node y0 of f0's grid
 through the partner y1 = (y - (1-lam) y0) / lam.  Only nodes whose partner
 can lie in f1's support bounding box [lo1, hi1] are enumerated, the box
 widened per axis by 1e-9 (1 + |lo1| + |hi1| + (|lo0| + |hi0|) / lam), with
-[lo0, hi0] f0's box.  On a tensor grid these nodes form one index range per
-axis, found by binary search.  When f0's positive nodes form one run on
-each grid line (the last index running), as they do for a field positive
-on a convex set, the last axis's range is cut to that run; otherwise the
-pairs of the other nodes stay.  f1 is evaluated and validated on every
-pair enumerated.  This relies on the contract of
-``ScalarField.support``: a field vanishes outside its support's bounding box
-widened by 1e-9 (1 + |lo| + |hi|), which covers the membership tolerance;
-the slack above adds the rounding of the partners.  f1 values outside the
-widened box are never computed, so they are never checked either, and a
-field that is positive there loses those values without an error.
+[lo0, hi0] f0's box: one index range per axis, found by binary search, the
+last one cut to the span of f0's positive nodes on its grid line.  f1 is
+evaluated and validated on every pair enumerated.  This relies on the
+contract of ``ScalarField.support``: a field vanishes outside its support's
+bounding box widened by 1e-9 (1 + |lo| + |hi|), which covers the membership
+tolerance; the slack above adds the rounding of the partners.  f1 values
+outside the widened box are never computed or checked, so a field positive
+there loses those values without an error.
 
-Rows are processed in blocks of at most ``_PAIR_BUDGET`` (2**14) pairs, a
-single row larger than that being its own block, so memory does not grow
-with the grid.
-
-Each grid row's maximizing pair is found with a float64 key that increases
-with M_ell (log M_ell for finite ell, max/min at ell = +/-inf), the first
-such pair in flat-grid order as ``argmax`` would pick it; a pair with a zero
-value gets the key -inf, so it never wins, and a row whose pairs all have
-one gets 0.  ``mean_p`` then runs once per row, on the winning pair.  f0's
-part of the key (its value at ell = +/-inf, (1-lam) log f0 in the geometric
-case, ell log f0 otherwise) is computed once per positive grid node and
-gathered per pair, and f0's value is read only at each row's winner.  So
-every reported value comes from ``mean_p`` in extended precision, and a
-near-tie the key misorders costs a few ulps of the sup.
+Each row's maximizing pair is found with a float64 key that increases with
+M_ell (log M_ell for finite ell, max/min at ell = +/-inf), the first such
+pair in flat-grid order as ``argmax`` would pick it.  f0's part of the key
+is computed once per positive node.  A pair with a zero value gets the key
+-inf and never wins; a row whose pairs all have one gets 0.  ``mean_p`` runs
+once, in extended precision, on every row's winning pair, so a near-tie the
+key misorders costs a few ulps of the sup.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,74 +170,89 @@ def _log_mean_key(ell: float, x, b, lam: float) -> np.ndarray:
     return y
 
 
-class _Grid(NamedTuple):
-    """A field on the midpoint grid of its support's bounding box."""
-
-    axes: list  # per-axis cell midpoints
-    pts: np.ndarray  # their tensor grid, last axis fastest
-    values: np.ndarray
-    cell: float
-
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum() * self.cell)
+def _values(f: ScalarField, P: np.ndarray) -> np.ndarray:
+    """f at the rows of P, refused unless every value is a nonnegative real."""
+    v = f(P)
+    # one pass each, and NaN fails both
+    if not (v.min() >= 0 and v.max() < math.inf):
+        raise ValueError("mean operands must be nonnegative reals")
+    return v
 
 
-def _field_grid(f: ScalarField, ppa: int) -> _Grid:
-    lo, hi = f.support.bounding_box()
-    pts, cell = midpoint_grid(lo, hi, ppa)
-    return _Grid(midpoint_axes(lo, hi, ppa), pts, f(pts), cell)
+def _slices(sizes) -> list:
+    """Consecutive slices of the given sizes."""
+    return [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
 
 
-def _partner_ranges(inst: BBLInstance, Y: np.ndarray, axes0: list):
+def _grids(lo, hi, ppas):
+    """The midpoint grids of [lo, hi] at ``ppas`` points per axis, stacked, and
+    the midpoint rule on them: stacked values -> one integral per grid."""
+    grids = [midpoint_grid(lo, hi, k) for k in ppas]
+    parts = _slices([len(pts) for pts, _ in grids])
+
+    def integrals(v):
+        return [float(v[part].sum() * cell) for part, (_, cell) in zip(parts, grids)]
+
+    return np.concatenate([pts for pts, _ in grids]), integrals
+
+
+def _partner_ranges(inst: BBLInstance, Y: np.ndarray, rows, ppas):
     """Per row of Y and per axis, the range [first, end) of f0's grid indices
-    whose partner can lie in f1's widened support box."""
+    whose partner can lie in f1's widened support box.  The first ``rows[0]``
+    rows pair with f0's grid of ``ppas[0]`` points per axis, and so on."""
     lam = inst.lam
     lo0, hi0 = inst.f0.support.bounding_box()
     lo1, hi1 = inst.f1.support.bounding_box()
     # covers the membership tolerance, and the rounding of the partners and
     # of the inverted bounds below, whose scale is that of y / lam
     slack = _PRUNE_SLACK * (1 + abs(lo1) + abs(hi1) + (abs(lo0) + abs(hi0)) / lam)
-    first = np.empty(Y.shape, dtype=np.intp)
-    end = np.empty(Y.shape, dtype=np.intp)
-    for i, axis in enumerate(axes0):
-        # the partner (y - (1-lam) y0) / lam decreases in y0
-        first[:, i] = np.searchsorted(axis, (Y[:, i] - lam * (hi1[i] + slack[i])) / (1 - lam))
-        end[:, i] = np.searchsorted(
-            axis, (Y[:, i] - lam * (lo1[i] - slack[i])) / (1 - lam), side="right"
-        )
+    # the partner (y - (1-lam) y0) / lam decreases in y0
+    y0_lo = (Y - lam * (hi1 + slack)) / (1 - lam)
+    y0_hi = (Y - lam * (lo1 - slack)) / (1 - lam)
+    first, end = np.empty((2, *Y.shape), dtype=np.intp)
+    for r, ppa in zip(_slices(rows), ppas):
+        for i, axis in enumerate(midpoint_axes(lo0, hi0, ppa)):
+            first[r, i] = axis.searchsorted(y0_lo[r, i])
+            end[r, i] = axis.searchsorted(y0_hi[r, i], side="right")
     return first, np.maximum(end, first)
 
 
-def _positive_runs(pos0: np.ndarray, ppa: int):
-    """Per line of f0's grid (the last index running), the range [lo, hi) of
-    its positive nodes, or None if some line's positive nodes have a gap."""
-    pos = pos0.reshape(-1, ppa)
-    lo = pos.argmax(axis=1)
-    hi = ppa - pos[:, ::-1].argmax(axis=1)
-    none = ~pos[np.arange(len(pos)), lo]
-    lo[none] = hi[none] = 0
-    return (lo, hi) if (pos.sum(axis=1) == hi - lo).all() else None
+def _positive_runs(pos0: np.ndarray, ppas, dim: int):
+    """Per node of f0's stacked grids, the span [lo, hi) of the positive
+    nodes on its grid line (the last index running), and whether some
+    line has a zero node inside its span."""
+    (lo, hi), gap = np.empty((2, len(pos0)), dtype=np.intp), False
+    for part, ppa in zip(_slices(np.power(ppas, dim)), ppas):
+        pos = pos0[part].reshape(-1, ppa)
+        first = pos.argmax(axis=1)
+        end = (ppa - pos[:, ::-1].argmax(axis=1)) * pos.any(axis=1)
+        gap = gap or (pos.sum(axis=1) < end - first).any()
+        lo[part], hi[part] = first.repeat(ppa), end.repeat(ppa)
+    return lo, hi, gap
 
 
-def _pair_nodes(first: np.ndarray, end: np.ndarray, ppa: int, runs):
-    """(flat grid node of every pair, pairs per row) for the index boxes
-    [first, end) per row, the last axis cut to ``runs`` unless it is None.
+def _pair_nodes(first, end, ppa, node_off, runs):
+    """(stacked grid node of every pair, pairs per row) for the index boxes
+    [first, end) per row, the last axis cut to its line's span in ``runs``.
 
-    Rows ascend, and each row's nodes come in flat-grid order: a segment per
-    (row, leading indices) holds a contiguous run of the flat index.
+    ``ppa`` and ``node_off`` give per row the points per axis of its f0 grid
+    and that grid's first node in the stack.  Rows ascend, and each row's
+    nodes come in flat-grid order: a segment per (row, leading indices)
+    holds a contiguous run of the flat index.
     """
     seg = np.arange(len(first))  # the row of each segment
     node = np.zeros(len(first), dtype=np.intp)
     last = first.shape[1] - 1
     for i in range(last + 1):
         lo, hi = first[seg, i], end[seg, i]
-        if i == last and runs is not None:
-            lo = np.maximum(lo, runs[0].take(node))
-            hi = np.maximum(np.minimum(hi, runs[1].take(node)), lo)
+        start = node * ppa.take(seg)
+        if i == last:
+            start += node_off.take(seg)  # the grid line's first node
+            lo = np.maximum(lo, runs[0].take(start))
+            hi = np.maximum(np.minimum(hi, runs[1].take(start)), lo)
         count = hi - lo
         # the runs [start, start + count) of each segment, concatenated
-        start = node * ppa + lo - (np.cumsum(count) - count)
+        start += lo - (np.cumsum(count) - count)
         node = np.arange(count.sum()) + np.repeat(start, count)
         if i < last:
             seg = np.repeat(seg, count)
@@ -260,27 +270,29 @@ def _row_blocks(pairs_per_row: np.ndarray):
         r0 = r1
 
 
-def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
+def _sup_grid(inst: BBLInstance, Y: np.ndarray, rows, ppas, P0: np.ndarray, v0: np.ndarray):
     """Grid sup-convolution at the rows of Y: ``mean_p`` on each row's top-ranked pair.
 
-    ``grid0`` is f0 on its midpoint grid.  Rows without a pair where both
-    values are positive get 0.
+    The first ``rows[0]`` rows pair with f0's midpoint grid of ``ppas[0]``
+    points per axis, the next ``rows[1]`` with that of ``ppas[1]``, and so
+    on.  ``P0`` stacks those grids in that order, and ``v0`` holds f0's
+    values there.  Rows without a pair where both values are positive get 0.
     """
     lam = inst.lam
-    ppa = len(grid0.axes[0])
-    first, end = _partner_ranges(inst, Y, grid0.axes)
-    pos0 = grid0.values > 0
-    runs = _positive_runs(pos0, ppa)
+    nodes = np.power(ppas, inst.dim)
+    ppa, node_off = np.repeat(ppas, rows), np.repeat(np.cumsum(nodes) - nodes, rows)
+    first, end = _partner_ranges(inst, Y, rows, ppas)
+    pos0 = v0 > 0
+    *runs, gap = _positive_runs(pos0, ppas, inst.dim)
     key0 = np.zeros(len(pos0))
-    key0[pos0] = _node_key(inst.ell, grid0.values[pos0], lam)
+    key0[pos0] = _node_key(inst.ell, v0[pos0], lam)
     # a coordinate per row, so the partners come out column-major and the
     # fields' broadcasts run down whole columns
     Yt = Y.T.copy()
-    w0t = (1 - lam) * grid0.pts.T
-    top0 = np.zeros(len(Y))
-    top1 = np.zeros(len(Y))
+    w0t = (1 - lam) * P0.T
+    top0, top1 = np.zeros(len(Y)), np.zeros(len(Y))
     for r0, r1 in _row_blocks(np.prod(end - first, axis=1)):
-        node, count = _pair_nodes(first[r0:r1], end[r0:r1], ppa, runs)
+        node, count = _pair_nodes(first[r0:r1], end[r0:r1], ppa[r0:r1], node_off[r0:r1], runs)
         hit = np.flatnonzero(count)
         if len(hit) == 0:
             continue
@@ -288,14 +300,11 @@ def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
         y1 = Yt[:, r0:r1].repeat(count, axis=1)
         y1 -= w0t.take(node, axis=1)
         y1 /= lam
-        v1 = inst.f1(y1.T)
-        # one pass each, and NaN fails both
-        if not (v1.min() >= 0 and v1.max() < math.inf):
-            raise ValueError("mean operands must be nonnegative reals")
+        v1 = _values(inst.f1, y1.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             key = _log_mean_key(inst.ell, key0.take(node), v1, lam)
         zero = v1 == 0
-        if runs is None:
+        if gap:
             zero |= ~pos0.take(node)
         np.copyto(key, -math.inf, where=zero)
         # each row's first pair of largest key, as argmax would pick it
@@ -306,7 +315,7 @@ def _sup_grid(inst: BBLInstance, Y: np.ndarray, grid0: _Grid) -> np.ndarray:
         best = best[np.searchsorted(best, starts)]
         won = top > -math.inf
         hit, best = hit[won], best[won]
-        top0[r0 + hit] = grid0.values.take(node[best])
+        top0[r0 + hit] = v0.take(node[best])
         top1[r0 + hit] = v1[best]
     return mean_p(inst.ell, top0, top1, lam)
 
@@ -319,38 +328,23 @@ def sup_convolution(inst: BBLInstance, y) -> float:
     positive value exists at y but the grid cannot find one.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    grid0 = _field_grid(inst.f0, inst.points_per_axis)
-    out = float(_sup_grid(inst, y[None, :], grid0)[0])
+    ppa = inst.points_per_axis
+    P0, _ = midpoint_grid(*inst.f0.support.bounding_box(), ppa)
+    out = float(_sup_grid(inst, y[None, :], [1], [ppa], P0, _values(inst.f0, P0))[0])
     if out == 0.0:
         try:
             comb = minkowski_combine(1 - inst.lam, inst.f0.support, inst.lam, inst.f1.support)
         except NotRepresentableError:
             return out
         interior = comb.contains(y, tol=-1e-9 * comb.diameter())
-        if interior and _is_indicator_like(inst):
+        # positivity on the whole support holds for indicators, where the
+        # Minkowski combination argument is exact
+        if interior and all(f(f.support.interior_point()) > 0 for f in (inst.f0, inst.f1)):
             raise ResolutionError(
                 "grid too coarse: the support combination guarantees a positive "
                 f"sup at {y.tolist()} but the grid found none"
             )
     return out
-
-
-def _is_indicator_like(inst: BBLInstance) -> bool:
-    # positivity on the whole support holds for indicators, where the
-    # Minkowski combination argument is exact
-    z0 = inst.f0.support.interior_point()
-    z1 = inst.f1.support.interior_point()
-    return inst.f0(z0) > 0 and inst.f1(z1) > 0
-
-
-def _lhs_and_masses(inst: BBLInstance, ppa: int):
-    lo0, hi0 = inst.f0.support.bounding_box()
-    lo1, hi1 = inst.f1.support.bounding_box()
-    lam = inst.lam
-    Y, cell = midpoint_grid((1 - lam) * lo0 + lam * lo1, (1 - lam) * hi0 + lam * hi1, ppa)
-    grid0 = _field_grid(inst.f0, ppa)
-    lhs = float(_sup_grid(inst, Y, grid0).sum() * cell)
-    return lhs, grid0.mass, _field_grid(inst.f1, ppa).mass
 
 
 def verify_bbl(inst: BBLInstance) -> BBLReport:
@@ -361,21 +355,18 @@ def verify_bbl(inst: BBLInstance) -> BBLReport:
     grid bias.  A negative margin beyond it falsifies the discretization,
     not the inequality.
     """
-    ppa = inst.points_per_axis
-    lhs, m0, m1 = _lhs_and_masses(inst, ppa)
-    lhs_c, m0_c, m1_c = _lhs_and_masses(inst, max(8, ppa // 2))
+    exp = bbl_exponent(inst.ell, inst.dim)
+    lam, ppa = inst.lam, inst.points_per_axis
+    ppas = [ppa, max(8, ppa // 2)]
+    (lo0, hi0), (lo1, hi1) = inst.f0.support.bounding_box(), inst.f1.support.bounding_box()
+    Y, lhs_of = _grids((1 - lam) * lo0 + lam * lo1, (1 - lam) * hi0 + lam * hi1, ppas)
+    P0, mass0_of = _grids(lo0, hi0, ppas)
+    P1, mass1_of = _grids(lo1, hi1, ppas)
+    v0 = _values(inst.f0, P0)
+    (m0, m0_c), (m1, m1_c) = mass0_of(v0), mass1_of(_values(inst.f1, P1))
     if m0 <= 0 or m1 <= 0:
         raise ValueError("both masses must be positive")
-    exp = bbl_exponent(inst.ell, inst.dim)
-    rhs, rhs_c = mean_p(exp, [m0, m0_c], [m1, m1_c], inst.lam).tolist()
+    lhs, lhs_c = lhs_of(_sup_grid(inst, Y, np.power(ppas, inst.dim), ppas, P0, v0))
+    rhs, rhs_c = mean_p(exp, [m0, m0_c], [m1, m1_c], lam).tolist()
     tol = 2.0 * (abs(lhs - lhs_c) + abs(rhs - rhs_c)) + 1e-9 * max(lhs, rhs)
-    return BBLReport(
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        tolerance=tol,
-        mass0=m0,
-        mass1=m1,
-        marginal_exponent=exp,
-        grid_points=inst.grid_points,
-    )
+    return BBLReport(lhs, rhs, lhs - rhs, tol, m0, m1, exp, inst.grid_points)

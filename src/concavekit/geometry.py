@@ -23,11 +23,10 @@ small, go through ``rowwise`` and ``row_norm``.  numpy reduces such a short
 axis one row at a time, which costs tens of ns per point, while a fold over
 the n columns runs one vectorized ufunc call per column.  Below 8 columns
 numpy's own reduction adds sequentially too, so the fold gives exactly its
-bits: ``rowwise(u, A)`` equals ``u.reduce(A, axis=1)`` and ``row_norm(A)``
-equals ``np.linalg.norm(A, axis=1)``.  The one exception is the sign of a
-zero: numpy's sum starts from +0.0, so it sums a row of -0.0 to +0.0 where
-the fold gives -0.0.  Sums of squares never meet it.  From 8 columns on
-numpy sums pairwise, and both helpers call numpy's reduction instead.
+bits: ``rowwise(u, A)`` equals ``u.reduce(A, axis=1)`` up to the sign of a
+zero (see ``rowwise``), and ``row_norm(A)`` equals ``np.linalg.norm(A,
+axis=1)``.  From 8 columns on numpy sums pairwise, and both helpers call
+numpy's reduction instead.
 """
 
 from __future__ import annotations
@@ -95,10 +94,10 @@ class NotRepresentableError(ValueError):
     """
 
 
-def midpoint_axes(lo, hi, ppa: int) -> list[np.ndarray]:
-    """The ppa increasing cell midpoints of [lo[i], hi[i]], for each axis i."""
+def midpoint_axes(lo, hi, ppa: int) -> np.ndarray:
+    """The ppa increasing cell midpoints of [lo[i], hi[i]], as row i for each axis i."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    return [lo[i] + (hi[i] - lo[i]) * (np.arange(ppa) + 0.5) / ppa for i in range(len(lo))]
+    return lo[:, None] + (hi - lo)[:, None] * (np.arange(ppa) + 0.5) / ppa
 
 
 def midpoint_grid(lo, hi, ppa: int):
@@ -108,13 +107,21 @@ def midpoint_grid(lo, hi, ppa: int):
     axis runs fastest.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    mesh = np.meshgrid(*midpoint_axes(lo, hi, ppa), indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return pts, float(np.prod((hi - lo) / ppa))
+    n = len(lo)
+    pts = np.empty((ppa,) * n + (n,))
+    for i, axis in enumerate(midpoint_axes(lo, hi, ppa)):
+        pts[..., i] = axis.reshape((ppa,) + (1,) * (n - 1 - i))
+    return pts.reshape(-1, n), math.prod(((hi - lo) / ppa).tolist())
 
 
 def rowwise(ufunc, A) -> np.ndarray:
-    """``ufunc.reduce(A, axis=1)`` for an (m, n) array, as a fold over its columns."""
+    """``ufunc.reduce(A, axis=1)`` for an (m, n) array, as a fold over its columns.
+
+    Equal to numpy's reduce up to the sign of a zero.  numpy's sum starts
+    from +0.0, so it sums a row of -0.0 to +0.0 where the fold gives -0.0
+    (sums of squares never meet it).  Without AVX-512, numpy's max and min
+    reduce resolve a +0.0/-0.0 tie the other way from the fold.
+    """
     A = np.asarray(A)
     n = A.shape[1]
     if not 0 < n < 8:

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from concavekit import bbl, convolve
 from concavekit.bbl import (
     BBLInstance,
-    _field_grid,
     _log_mean_key,
     _node_key,
     _partner_ranges,
+    _positive_runs,
     _sup_grid,
     sup_convolution,
     verify_bbl,
@@ -100,8 +100,14 @@ def pair_values(inst, Y, ppa):
     return v0, inst.f1(y1.reshape(-1, inst.dim)).reshape(len(Y), len(y0))
 
 
+def f0_grid(inst, ppa):
+    """f0's midpoint grid and its values there."""
+    P0, _ = midpoint_grid(*inst.f0.support.bounding_box(), ppa)
+    return P0, inst.f0(P0)
+
+
 def sup_grid(inst, Y, ppa):
-    return _sup_grid(inst, Y, _field_grid(inst.f0, ppa))
+    return _sup_grid(inst, Y, [len(Y)], [ppa], *f0_grid(inst, ppa))
 
 
 def brute_pair_means(inst, Y, ppa):
@@ -227,16 +233,16 @@ class TestSupGridRanking:
         )
         ppa = inst.points_per_axis
         Y = padded_rows(inst, ppa)
-        grid0 = _field_grid(inst.f0, ppa)
-        first, end = _partner_ranges(inst, Y, grid0.axes)
+        P0, v0 = f0_grid(inst, ppa)
+        first, end = _partner_ranges(inst, Y, [len(Y)], [ppa])
         pairs = np.prod(end - first, axis=1)
         # rows without any admissible pair, and pairs pruned from the others
-        assert (pairs == 0).any() and 0 < pairs.sum() < len(Y) * len(grid0.pts)
+        assert (pairs == 0).any() and 0 < pairs.sum() < len(Y) * len(P0)
         if case in ("ball_f0", "polytope_f0"):
-            assert (grid0.values == 0).any()
+            assert (v0 == 0).any()
         ref = brute_pair_means(inst, Y, ppa).max(axis=1)
         assert (ref == 0).any() and (ref > 0).any()
-        np.testing.assert_allclose(_sup_grid(inst, Y, grid0), ref, rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
 
     @pytest.mark.parametrize("ell", ["-1/n", "0", "1", "inf"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -251,20 +257,26 @@ class TestSupGridRanking:
         f1 = data_field("tent", Box([0.25] * dim, [1.5] * dim))
         inst = BBLInstance(f0, f1, RANK_ELLS[ell](dim), 0.4, (64, 144)[dim - 1])
         ppa = inst.points_per_axis
-        grid0 = _field_grid(inst.f0, ppa)
-        assert bbl._positive_runs(grid0.values > 0, ppa) is None
+        assert _positive_runs(f0_grid(inst, ppa)[1] > 0, [ppa], dim)[2]
         Y = padded_rows(inst, ppa)
         ref = brute_pair_means(inst, Y, ppa).max(axis=1)
         assert (ref == 0).any() and (ref > 0).any()
-        np.testing.assert_allclose(_sup_grid(inst, Y, grid0), ref, rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(sup_grid(inst, Y, ppa), ref, rtol=4 * EPS, atol=0)
 
     def test_positive_runs_per_grid_line(self):
-        pos = np.array([[0, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
-        lo, hi = bbl._positive_runs(pos.reshape(-1), 4)
-        np.testing.assert_array_equal(lo, [1, 0, 0])
-        np.testing.assert_array_equal(hi, [3, 0, 4])
+        # two stacked 2-d grids, of 4 and 2 points per axis
+        pos = np.array([[0, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1]], dtype=bool)
+        small = np.array([[0, 1], [1, 1]], dtype=bool)
+        lo, hi, gap = _positive_runs(np.concatenate([pos.ravel(), small.ravel()]), [4, 2], 2)
+        # each node carries its grid line's span
+        np.testing.assert_array_equal(lo, np.repeat([1, 0, 0, 2, 1, 0], [4, 4, 4, 4, 2, 2]))
+        np.testing.assert_array_equal(hi, np.repeat([3, 0, 4, 4, 2, 2], [4, 4, 4, 4, 2, 2]))
+        assert not gap
+        # a gap in a line of either grid
         pos[1, [0, 2]] = True
-        assert bbl._positive_runs(pos.reshape(-1), 4) is None
+        assert _positive_runs(np.concatenate([pos.ravel(), small.ravel()]), [4, 2], 2)[2]
+        pos[1, [0, 2]] = False
+        assert _positive_runs(np.concatenate([pos.ravel(), [1, 0, 1, 0, 1, 0, 1, 1, 1]]), [4, 3], 2)[2]
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("face", ["lo", "hi"])
@@ -298,15 +310,15 @@ class TestSupGridRanking:
     def test_row_blocks_match_one_block(self, case, monkeypatch):
         d0, d1, lam = PRUNING_CASES[case]
         inst = BBLInstance(data_field(*d0), data_field(*d1), -0.25, lam, 512)
-        Y = padded_rows(inst, inst.points_per_axis)
-        grid0 = _field_grid(inst.f0, inst.points_per_axis)
+        ppa = inst.points_per_axis
+        Y = padded_rows(inst, ppa)
         monkeypatch.setattr(bbl, "_PAIR_BUDGET", 10**9)
-        whole = _sup_grid(inst, Y, grid0)
+        whole = sup_grid(inst, Y, ppa)
         report = verify_bbl(inst)
         monkeypatch.setattr(bbl, "_PAIR_BUDGET", 300)
-        first, end = _partner_ranges(inst, Y, grid0.axes)
+        first, end = _partner_ranges(inst, Y, [len(Y)], [ppa])
         assert len(list(bbl._row_blocks(np.prod(end - first, axis=1)))) > 10
-        np.testing.assert_array_equal(_sup_grid(inst, Y, grid0), whole)
+        np.testing.assert_array_equal(sup_grid(inst, Y, ppa), whole)
         assert verify_bbl(inst) == report
 
     @pytest.mark.parametrize("ell", [1e-13, 1e-9, 1e-6])
@@ -336,8 +348,118 @@ class TestSupGridRanking:
         with pytest.raises(ValueError):
             verify_bbl(inst)
 
+    @pytest.mark.parametrize("shift", [0.2, math.nan])
+    def test_negative_or_nan_f0_values_rejected(self, shift):
+        # f0 is a tent lowered by 0.2, negative near the ends of [0, 1]
+        # (or NaN everywhere): it was dropped from the sup while mass0 summed it
+        class Lowered(TentField):
+            def _eval(self, P):
+                v, e = super()._eval(P)
+                return v - shift, e
+
+        inst = BBLInstance(Lowered(Interval(0, 1)), TentField(Interval(2, 4)), 1.0, 0.5)
+        with pytest.raises(ValueError, match="mean operands must be nonnegative reals"):
+            verify_bbl(inst)
+        with pytest.raises(ValueError, match="mean operands must be nonnegative reals"):
+            sup_convolution(inst, [1.5])
+
+    def test_minus_inf_exponent_refused_before_grid_work(self, monkeypatch):
+        def grid_work(*args):
+            raise AssertionError("grid work before the exponent check")
+
+        monkeypatch.setattr(bbl, "_sup_grid", grid_work)
+        monkeypatch.setattr(bbl, "midpoint_grid", grid_work)
+        inst = BBLInstance(IndicatorField(Interval(0, 1)), TentField(Interval(2, 4)), -INF, 0.5)
+        with pytest.raises(ValueError, match=r"^bbl_exponent requires ell >= -1/n = -1\.0$"):
+            verify_bbl(inst)
+
     def test_one_resolution_error_class(self):
         assert bbl.ResolutionError is convolve.ResolutionError
+
+
+def gap_polytope_field():
+    """The indicator of a polygon times grid data that vanish on a band
+    across it, so some grid lines have two runs of positive nodes."""
+    poly = Polytope([[0.0, 0.0], [1.0, 0.2], [0.7, 1.1], [-0.3, 0.6]])
+    values = np.ones((7, 7))
+    values[:, 3] = 0.0
+    lo, hi = poly.bounding_box()
+    return ProductField([IndicatorField(poly), GridField(values, lo, hi)])
+
+
+# (f0, f1, ell, lam, grid points) per case; each data body is drawn from
+# the case's seed
+ONE_PASS_CASES = {
+    "1d": (("tent", 1), ("gauss", 1), 0.5, 0.3, 64),
+    "2d": (("gauss", 2), ("tent", 2), -0.25, 0.6, 256),
+    "2d_gap": ("polytope_gap", ("tent", 2), 1.0, 0.45, 324),
+    "3d": (("tent", 3), ("gauss", 3), INF, 0.4, 16**3),
+}
+
+
+class TestOnePass:
+    """verify_bbl's one enumeration, row by row, against sup_convolution."""
+
+    @staticmethod
+    def case(name):
+        d0, d1, ell, lam, grid = ONE_PASS_CASES[name]
+        rng = make_rng(90 + list(ONE_PASS_CASES).index(name))
+
+        def field(spec):
+            if spec == "polytope_gap":
+                return gap_polytope_field()
+            kind, dim = spec
+            lo = rng.uniform(-1.0, 0.5, dim)
+            return data_field(kind, Box(lo, lo + rng.uniform(0.5, 1.5, dim)))
+
+        return BBLInstance(field(d0), field(d1), ell, lam, grid)
+
+    @staticmethod
+    def sup_at(inst, y):
+        # the value before the coarse-grid refusal, which rows with a zero sup
+        # inside the support combination meet
+        try:
+            return sup_convolution(inst, y)
+        except convolve.ResolutionError:
+            return 0.0
+
+    @pytest.mark.parametrize("budget", [None, "straddle"])
+    @pytest.mark.parametrize("name", list(ONE_PASS_CASES))
+    def test_rows_match_sup_convolution(self, name, budget, monkeypatch):
+        inst = self.case(name)
+        n, ppa = inst.dim, inst.points_per_axis
+        ppa_c = ppa // 2
+        assert ppa_c >= 8
+        coarse = BBLInstance(inst.f0, inst.f1, inst.ell, inst.lam, ppa_c**n)
+        assert coarse.points_per_axis == ppa_c
+        calls = []
+
+        def spy(*args):
+            calls.append((args, bbl_sup_grid(*args)))
+            return calls[-1][1]
+
+        bbl_sup_grid = bbl._sup_grid
+        monkeypatch.setattr(bbl, "_sup_grid", spy)
+        if budget == "straddle":
+            # a budget under which one block holds the last full-resolution
+            # rows and the first half-resolution ones
+            monkeypatch.setattr(bbl, "_PAIR_BUDGET", 1500)
+        verify_bbl(inst)
+        (args, S), = calls
+        _, Y, rows, ppas, P0, v0 = args
+        assert list(rows) == [ppa**n, ppa_c**n] and list(ppas) == [ppa, ppa_c]
+        if name == "2d_gap":
+            assert _positive_runs(v0 > 0, ppas, n)[2]
+        if budget == "straddle":
+            first, end = _partner_ranges(inst, Y, rows, ppas)
+            blocks = bbl._row_blocks(np.prod(end - first, axis=1))
+            assert any(r0 < rows[0] < r1 for r0, r1 in blocks)
+        monkeypatch.undo()
+        full = rows[0]
+        assert (S[:full] > 0).any() and (S[full:] > 0).any()
+        for k in range(len(Y)):
+            want = self.sup_at(inst if k < full else coarse, Y[k])
+            assert float(S[k]).hex() == float(want).hex(), k
 
 
 class TestMemory:

@@ -368,6 +368,32 @@ class TestBBL:
         rep = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
         assert rep["marginal_exponent"] == "-inf"
 
+    def test_minus_inf_exponent_is_input_error(self, tmp_path, capsys):
+        inst = write(tmp_path / "inst.json", {**TestDescriptors.INSTANCE, "ell": "-inf"})
+        assert main(["bbl", "--instance", inst]) == 2
+        assert capsys.readouterr().err == "error: bbl_exponent requires ell >= -1/n = -1.0\n"
+
+    def test_negative_f0_values_are_input_error(self, tmp_path, capsys, monkeypatch):
+        # no descriptor kind takes negative values, so the tent anchored at 0.5
+        # is lowered by 0.2 in place: f0 is negative near the ends of [0, 1]
+        from concavekit.fields import TentField
+
+        tent = TentField._eval
+
+        def lowered(self, P):
+            v, e = tent(self, P)
+            return (v - 0.2 if self.center[0] == 0.5 else v), e
+
+        monkeypatch.setattr(TentField, "_eval", lowered)
+        inst = {
+            "f0": {"kind": "tent", "body": {"kind": "interval", "a": 0, "b": 1}},
+            "f1": {"kind": "tent", "body": {"kind": "interval", "a": 2, "b": 4}},
+            "ell": 1,
+            "lambda": 0.5,
+        }
+        assert main(["bbl", "--instance", write(tmp_path / "inst.json", inst)]) == 2
+        assert capsys.readouterr().err == "error: mean operands must be nonnegative reals\n"
+
 
 class TestMaximize:
     def test_problem_file(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavekit.geometry import (
     Ball,
@@ -21,6 +23,8 @@ from concavekit.geometry import (
     check_parabolic_convexity,
     coupling_core,
     interior_witness_outside,
+    midpoint_axes,
+    midpoint_grid,
     minkowski_combine,
     row_norm,
     rowwise,
@@ -646,6 +650,24 @@ GAUGE_CASES = [
     (Polytope(np.vstack([np.eye(3), -np.eye(3), [[0.4, 0.4, 0.4]]])), [0.1, 0.2, -0.3]),
 ]
 GAUGE_IDS = [f"{type(b).__name__}{b.dim}d-{k}" for k, (b, _) in enumerate(GAUGE_CASES)]
+
+
+class TestMidpointGrid:
+    @given(
+        bounds=st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)), min_size=n, max_size=n)
+        ),
+        ppa=st.integers(1, 64),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_equal_the_meshgrid_construction(self, bounds, ppa):
+        lo = np.array([a for a, _ in bounds])
+        hi = lo + [w for _, w in bounds]
+        pts, cell = midpoint_grid(lo, hi, ppa)
+        mesh = np.meshgrid(*midpoint_axes(lo, hi, ppa), indexing="ij")
+        ref = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+        assert cell == float(np.prod((hi - lo) / ppa))
 
 
 @pytest.mark.parametrize("body, z", GAUGE_CASES, ids=GAUGE_IDS)
