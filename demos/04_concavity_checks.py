@@ -2,10 +2,14 @@
 
 The checkers sample pairs plus mixing weights from a seeded Philox stream
 and compare the value at the combined point against the power mean of the
-endpoint values.  Strict modes demand a genuine margin away from the
-diagonal; the almost-strict space-time mode tolerates equality exactly on
-the rays x/t^alpha = const, which is where kernels like the heat kernel are
-flat.
+endpoint values.  Both draw their pairs by one rule: a tenth are close
+pairs, the second point a random step of 1e-4 times the domain's diameter
+from the first, in x for the spatial checks and in (x, t) for the space-time
+ones.  Strict modes demand a genuine margin away from the diagonal; the
+almost-strict space-time mode tolerates equality exactly on the rays
+x/t^alpha = const, which is where kernels like the heat kernel are flat.
+The space-time checker puts another tenth of its partners exactly on those
+rays.
 """
 
 import math

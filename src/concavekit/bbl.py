@@ -1,8 +1,9 @@
 """Desk-scale discretized verification of the Borell-Brascamp-Lieb inequality.
 
 An instance is a pair of nonnegative, compactly supported fields f0, f1, an
-exponent ell >= -1/n, and a mixing weight lam in (0, 1): a descriptor of kind
-``bbl_instance``, whose ``"kind"`` a JSON file may leave out.  The sup-convolution
+exponent ell >= -1/n as ``bbl_exponent`` reads it, and a mixing weight lam in
+(0, 1): a descriptor of kind ``bbl_instance``, whose ``"kind"`` a JSON file
+may leave out.  The sup-convolution
 
     S(y) = sup { M_ell(f0(y0), f1(y1); lam) : (1-lam) y0 + lam y1 = y }
 
@@ -16,12 +17,12 @@ undershoot, so the left side carries an O(h) downward bias; the tolerance is
 calibrated from the same computation at half resolution (which doubles that
 bias), plus the matching mass-quadrature bias on the right side.
 
-One pass.  ``verify_bbl`` refuses ell < -1/n before any grid work.  It stacks
-each grid (the rows y, f0's and f1's) at both resolutions, evaluates each
-field once on its stacked grids, refusing a negative or NaN value, and
-enumerates the pairs of both resolutions' rows together, each row with f0's
-grid of its own resolution, in blocks of at most ``_PAIR_BUDGET`` (2**14)
-pairs or one larger row, so memory does not grow with the grid.
+One pass.  ``verify_bbl`` stacks each grid (the rows y, f0's and f1's) at
+both resolutions, evaluates each field once on its stacked grids, refusing
+a negative or NaN value, and enumerates the pairs of both resolutions' rows
+together, each row with f0's grid of its own resolution, in blocks of at
+most ``_PAIR_BUDGET`` (2**14) pairs or one larger row, so memory does not
+grow with the grid.
 
 Which pairs are evaluated.  A row y pairs with a node y0 of f0's grid
 through the partner y1 = (y - (1-lam) y0) / lam.  Only nodes whose partner
@@ -37,7 +38,7 @@ outside the widened box are never computed or checked, so a field positive
 there loses those values without an error.
 
 Each row's maximizing pair is found with a float64 key that increases with
-M_ell (log M_ell for finite ell, max/min at ell = +/-inf), the first such
+M_ell (log M_ell for finite ell, max at ell = +inf), the first such
 pair in flat-grid order as ``argmax`` would pick it.  f0's part of the key
 is computed once per positive node.  A pair with a zero value gets the key
 -inf and never wins; a row whose pairs all have one gets 0.  ``mean_p`` runs
@@ -99,8 +100,7 @@ class BBLInstance(
             raise ValueError("instance fields must share the dimension")
         if not 0 < self.lam < 1:
             raise ValueError("lam must lie in (0, 1)")
-        if self.ell < -1.0 / self.dim and not math.isinf(self.ell):
-            raise ValueError("requires ell >= -1/n")
+        bbl_exponent(self.ell, self.dim)
         if not 8 <= self.grid_points <= sys.float_info.max:
             raise ValueError("needs at least 8 grid points, and a count in the float range")
 
@@ -131,7 +131,7 @@ class BBLReport(Record):
 
 def _node_key(ell: float, a: np.ndarray, lam: float) -> np.ndarray:
     """f0's part of the ranking key at grid values a > 0: a itself at ell =
-    +/-inf, (1-lam) log a in the geometric case, ell log a otherwise."""
+    +inf, (1-lam) log a in the geometric case, ell log a otherwise."""
     if math.isinf(ell):
         return a
     la = np.log(a)
@@ -149,7 +149,7 @@ def _log_mean_key(ell: float, x, b, lam: float) -> np.ndarray:
     at small |ell|.  The key is computed in place on a b-shaped array.
     """
     if math.isinf(ell):
-        return (np.maximum if ell > 0 else np.minimum)(x, b)
+        return np.maximum(x, b)
     y = np.log(b)
     if abs(ell) < _P_GEOMETRIC:
         y *= lam

@@ -19,10 +19,12 @@ floor is modulated by 4 lam (1 - lam) so that mixing weights near 0 or 1 do
 not produce false alarms.  Samples where either value is 0 satisfy the
 inequality trivially and are excluded from strictness statistics.
 
-The rays x / f(t) = const of the almost-strict check and of
-:func:`classify_equality` take f = t^alpha (log t at alpha = 0) from
-:func:`concavekit.geometry.time_factor`; forced ray partners scale by the
-ratio (t1 / t0)^alpha, whose rounding the report bits rest on.
+Both checkers draw a pair as two rows z0, z1 of the domain: x for a body,
+(x, t) in space-time.  For the first tenth of the pairs z1 is a Gaussian
+step of 1e-4 times the domain's diameter from z0, so close pairs probe every
+direction, the equality rays x / f(t) = const included.  The space-time
+checker also moves its last tenth of partners onto z0's ray.  Rays take
+f = t^alpha (log t at alpha = 0) from :func:`concavekit.geometry.time_factor`.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class CheckConfig:
 
     ``domain`` is a :class:`ConvexBody` for spatial checks, or a
     :class:`SpaceTimeBox` / :class:`ParabolicRegion` for space-time checks.
-    The tolerances are module constants: the plain-inequality slack is
+    ``samples`` pairs are drawn from it by ``seed``'s stream, a tenth of them
+    near-diagonal (a random step of 1e-4 diameters in x, or in (x, t)).  The
+    tolerances are module constants: the plain-inequality slack is
     ``_TOL`` (1e-9) times the local value scale, and strictness requires
     margins above ``_EPS_STRICT`` (1e-7) times it (at lam = 1/2).
     """
@@ -167,24 +171,20 @@ def _report(cfg, p, lam, mode, sep_rel, pairs, evals) -> ConcavityReport:
     )
 
 
-def _sample_pairs_body(f, cfg: CheckConfig):
-    """(body, x0, x1, lam, x_lam) drawn from the configured body, else f's support."""
-    body = cfg.domain if cfg.domain is not None else f.support
-    if not isinstance(body, ConvexBody):
-        raise ValueError("this check needs a ConvexBody domain in the config")
+def _sample_pairs(domain, cfg: CheckConfig, sample, inside):
+    """(z0, z1, lam): ``cfg.samples`` pairs of rows drawn by ``sample(rng, k)``,
+    the first tenth's z1 moved to z0 plus 1e-4 diameters times a standard
+    normal vector where ``inside`` holds that row."""
     rng = make_rng(cfg.seed)
     n = cfg.samples
-    x0 = body.sample(rng, n)
-    x1 = body.sample(rng, n)
-    # force a fraction of near-diagonal pairs to probe the equality edge
+    z0 = sample(rng, n)
+    z1 = sample(rng, n)
     k = int(_DIAG_FRAC * n)
     if k:
-        delta = 1e-4 * body.diameter() * rng.normal(size=(k, body.dim))
-        cand = x0[:k] + delta
-        ok = body.contains_many(cand)
-        x1[:k][ok] = cand[ok]
-    lam = rng.uniform(0.0, 1.0, size=n)
-    return body, x0, x1, lam, (1 - lam)[:, None] * x0 + lam[:, None] * x1
+        cand = z0[:k] + 1e-4 * domain.diameter() * rng.normal(size=(k, z0.shape[1]))
+        ok = inside(cand)
+        z1[:k][ok] = cand[ok]
+    return z0, z1, rng.uniform(0.0, 1.0, size=n)
 
 
 def check_p_concavity(
@@ -198,7 +198,11 @@ def check_p_concavity(
     ``_SEP_FRAC * diameter`` and both endpoint values are positive; a
     too-small margin there yields the ``equality_off_spec`` verdict.
     """
-    body, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
+    body = cfg.domain if cfg.domain is not None else f.support
+    if not isinstance(body, ConvexBody):
+        raise ValueError("this check needs a ConvexBody domain in the config")
+    x0, x1, lam = _sample_pairs(body, cfg, body.sample, body.contains_many)
+    xl = (1 - lam)[:, None] * x0 + lam[:, None] * x1
     sep_rel = row_norm(x0 - x1) / body.diameter()
     return _report(
         cfg, p, lam, "strict" if strict else "plain", sep_rel,
@@ -217,35 +221,19 @@ def check_quasi_concavity_superlevel(f, cfg: CheckConfig) -> ConcavityReport:
     return check_p_concavity(f, -np.inf, cfg)
 
 
-def _sample_pairs_spacetime(domain, cfg: CheckConfig):
-    rng = make_rng(cfg.seed)
-    n = cfg.samples
-    X0, T0 = domain.sample(rng, n)
-    X1, T1 = domain.sample(rng, n)
-    lam = rng.uniform(0.0, 1.0, size=n)
-
-    k = int(_DIAG_FRAC * n)
-    if k:
-        X1[:k] = X0[:k]
-        T1[:k] = T0[:k] * (1 + 1e-5 * rng.normal(size=k))
-        T1[:k] = np.clip(T1[:k], domain.t_lo, domain.t_hi)
-    return X0, T0, X1, T1, lam
-
-
-def _force_rays(X0, T0, X1, T1, alpha, domain):
-    """Overwrite a fraction of pairs with exactly ray-aligned partners."""
-    n = len(T0)
+def _force_rays(z0, z1, alpha, inside):
+    """Move the partners of the last tenth of the pairs exactly onto z0's ray:
+    x1 = x0 f(t1) / f(t0), where ``inside`` holds the moved rows."""
+    n = len(z0)
     k = int(_RAY_FRAC * n)
     if k == 0:
         return
-    sl = slice(n - k, n)
-    if alpha == 0.0:
-        scalefac = np.log(T1[sl]) / np.log(T0[sl])
-    else:
-        scalefac = (T1[sl] / T0[sl]) ** alpha
-    cand = X0[sl] * scalefac[:, None]
-    ok = domain.contains_many(cand, T1[sl])
-    X1[sl][ok] = cand[ok]
+    z0, z1 = z0[n - k :], z1[n - k :]
+    cand = z1.copy()
+    scale = time_factor(z1[:, -1], alpha) / time_factor(z0[:, -1], alpha)
+    cand[:, :-1] = z0[:, :-1] * scale[:, None]
+    ok = inside(cand)
+    z1[ok] = cand[ok]
 
 
 def check_parabolic_p_concavity(
@@ -272,12 +260,20 @@ def check_parabolic_p_concavity(
         raise ValueError("space-time checks need a SpaceTimeBox or ParabolicRegion domain")
     if mode == "almost_strict" and alpha == 0.0 and domain.t_lo <= 1.0:
         raise ValueError("almost-strict alpha = 0 checks need times > 1")
-    X0, T0, X1, T1, lam = _sample_pairs_spacetime(domain, cfg)
+
+    def inside(Z):
+        return domain.contains_many(Z[:, :-1], Z[:, -1])
+
+    z0, z1, lam = _sample_pairs(
+        domain, cfg, lambda rng, k: np.column_stack(domain.sample(rng, k)), inside
+    )
     if alpha != 0.0 or domain.t_lo > 1.0:
         # probe the equality set directly; random pairs almost never land
         # on a ray, so without this a strict check of an almost-strict
         # field would pass or fail by sampling luck
-        _force_rays(X0, T0, X1, T1, alpha, domain)
+        _force_rays(z0, z1, alpha, inside)
+    X0, T0 = z0[:, :-1], z0[:, -1]
+    X1, T1 = z1[:, :-1], z1[:, -1]
 
     t_comb = mean_p(alpha, T0, T1, lam)
     x_comb = (1 - lam)[:, None] * X0 + lam[:, None] * X1
@@ -290,7 +286,7 @@ def check_parabolic_p_concavity(
         ray_scale = 1.0 + np.maximum(row_norm(r0), row_norm(r1))
         sep_rel = row_norm(r0 - r1) / ray_scale
     else:
-        sep_rel = np.sqrt(row_norm(X0 - X1) ** 2 + (T0 - T1) ** 2) / domain.diameter()
+        sep_rel = row_norm(z0 - z1) / domain.diameter()
     return _report(
         cfg, p, lam, mode, sep_rel,
         {"x0": X0, "t0": T0, "x1": X1, "t1": T1},

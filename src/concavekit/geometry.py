@@ -132,6 +132,21 @@ def rowwise(ufunc, A) -> np.ndarray:
     return out
 
 
+def _rejection_sample(k: int, draw, inside, what):
+    """The first k rows, in draw order, that ``inside(*batch)`` accepts among
+    batches ``draw(m)``: tuples of arrays of m >= 64 candidate rows each."""
+    parts, have = [], 0
+    for _ in range(4000):
+        batch = draw(max(k, 64))
+        ok = inside(*batch)
+        take = min(k - have, int(ok.sum()))
+        parts.append([a[ok][:take] for a in batch])
+        have += take
+        if have == k:
+            return tuple(np.concatenate(col) for col in zip(*parts))
+    raise SamplingError(f"could not draw {k} points from {what!r}")
+
+
 def row_norm(A) -> np.ndarray:
     """Euclidean norm of each row of an (m, n) array."""
     A = np.asarray(A)
@@ -336,17 +351,11 @@ class ConvexBody(Descriptor):
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k points drawn uniformly from the body, shape (k, dim)."""
         lo, hi = self.bounding_box()
-        out = np.empty((k, self.dim))
-        have = 0
-        for _ in range(2000):
-            draw = rng.uniform(lo, hi, size=(max(k, 64), self.dim))
-            good = draw[self.contains_many(draw)]
-            take = min(k - have, len(good))
-            out[have : have + take] = good[:take]
-            have += take
-            if have == k:
-                return out
-        raise SamplingError(f"could not draw {k} points from {self!r}")
+
+        def draw(m):
+            return (rng.uniform(lo, hi, size=(m, self.dim)),)
+
+        return _rejection_sample(k, draw, self.contains_many, self)[0]
 
     def is_interior(self, x) -> bool:
         """Interior test with margin delta = 1e-9 * diameter.
@@ -956,21 +965,11 @@ class ParabolicRegion:
         return bool(self.contains_many(x[None, :], np.atleast_1d(float(t)))[0])
 
     def sample(self, rng: np.random.Generator, k: int):
-        out_x = np.empty((k, self.dim))
-        out_t = np.empty(k)
-        have = 0
-        for _ in range(4000):
-            m = max(k, 64)
+        def draw(m):
             X = rng.uniform(self.x_lo, self.x_hi, size=(m, self.dim))
-            T = rng.uniform(self.t_lo, self.t_hi, size=m)
-            ok = self.contains_many(X, T)
-            take = min(k - have, int(ok.sum()))
-            out_x[have : have + take] = X[ok][:take]
-            out_t[have : have + take] = T[ok][:take]
-            have += take
-            if have == k:
-                return out_x, out_t
-        raise SamplingError("no member points found in the bounding data")
+            return X, rng.uniform(self.t_lo, self.t_hi, size=m)
+
+        return _rejection_sample(k, draw, self.contains_many, self)
 
     def diameter(self) -> float:
         return math.hypot(float(np.linalg.norm(self.x_hi - self.x_lo)), self.t_hi - self.t_lo)

@@ -113,10 +113,13 @@ def report_bits(i):
 
 
 def point_bits(j):
-    # instances of both dimensions, spread over the report cases
-    inst = instance(j * (REPORTS // POINTS) + j % 2)
-    y = _point(inst, np.random.default_rng([26, j]))
-    return _outcome(lambda: [_hex(y), float(sup_convolution(inst, y)).hex()])
+    def call():
+        # instances of both dimensions, spread over the report cases
+        inst = instance(j * (REPORTS // POINTS) + j % 2)
+        y = _point(inst, np.random.default_rng([26, j]))
+        return [_hex(y), float(sup_convolution(inst, y)).hex()]
+
+    return _outcome(call)
 
 
 CASES = {f"report/{i:03d}": functools.partial(report_bits, i) for i in range(REPORTS)}

@@ -12,9 +12,10 @@ from concavekit.concavity import (
     check_parabolic_p_concavity,
     check_quasi_concavity_superlevel,
     classify_equality,
-    _sample_pairs_body,
+    _report,
+    _sample_pairs,
 )
-from concavekit.convolve import ConvolutionField, QuadratureSpec
+from concavekit.convolve import ConvolutionField, HeatIndicatorField, QuadratureSpec
 from concavekit.fields import (
     ConstantField,
     GaussWeierstrassKernel,
@@ -176,7 +177,9 @@ class TestSuperLevel:
         # keep its combined point above a; finitely many levels see only a
         # subset of the pairs whose min-margin is negative
         rep = check_quasi_concavity_superlevel(f, cfg)
-        _, x0, x1, lam, xl = _sample_pairs_body(f, cfg)
+        body = cfg.domain
+        x0, x1, lam = _sample_pairs(body, cfg, body.sample, body.contains_many)
+        xl = (1 - lam)[:, None] * x0 + lam[:, None] * x1
         f0, f1, fl = f(x0), f(x1), f(xl)
         lo = np.minimum(f0, f1)
         bad_level = np.zeros(len(lo), dtype=bool)
@@ -287,6 +290,37 @@ class TestParabolicChecks:
         assert check_p_concavity(pk, -0.5, cfg, strict=True).verdict == PASS
         pts = Interval(-3, 3).sample(make_rng(21), 500)
         assert (pk(pts) > 0).all()
+
+    def test_close_pair_off_the_time_axis_replays_as_violation(self):
+        # heat * 1_[-1, 1] at alpha = 1/2 is parabolically p-concave only for
+        # p <= -17.15, reached near x = +-2, t = 0.3; this close pair moves in
+        # x and t and fails p = -5 by 2,500 times the tolerance
+        f = HeatIndicatorField(-1, 1)
+        X0, T0 = np.array([[-1.94132]]), np.array([0.324315])
+        X1, T1 = np.array([[-1.95868]]), np.array([0.335734])
+        lam = np.array([0.5])
+        t_comb = mean_p(0.5, T0, T1, lam)
+        x_comb = (1 - lam)[:, None] * X0 + lam[:, None] * X1
+        rep = _report(
+            CheckConfig(samples=1), -5.0, lam, "plain", np.zeros(1),
+            {"x0": X0, "t0": T0, "x1": X1, "t1": T1},
+            {"phi0": f.eval_with_error(X0, T0), "phi1": f.eval_with_error(X1, T1),
+             "phi_comb": f.eval_with_error(x_comb, t_comb)},
+        )
+        assert rep.verdict == VIOLATION
+        assert rep.worst_margin == pytest.approx(-2.54e-6, rel=1e-2)
+        assert rep.worst_margin < -1000 * rep.tolerance
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_near_diagonal_steps_in_space_and_time_find_violations(self, seed):
+        # close pairs stepped in every direction of (x, t) reach the region
+        # where heat * 1_[-1, 1] is not -1.7-concave; time-only steps missed it
+        dom = SpaceTimeBox(Interval(-2, 2), 0.3, 4)
+        cfg = CheckConfig(samples=3000, seed=seed, domain=dom)
+        rep = check_parabolic_p_concavity(HeatIndicatorField(-1, 1), 0.5, -1.7, cfg)
+        assert rep.verdict == VIOLATION
+        w = rep.witness
+        assert w["x0"] != w["x1"] and w["t0"] != w["t1"]
 
     def test_alpha_zero_needs_late_times(self):
         phi0 = conjugate0(GaussWeierstrassKernel(1))
@@ -417,92 +451,92 @@ PINNED_CHECKS = {
 PINNED_BITS = {
     "parabolic_almost_strict_alpha0": (
         "equality_off_spec",
-        "-0x1.e19aca1f3c485p-48",
+        "-0x1.72505cb2716eap-48",
         (
             ("x0", "0x1.7e03a55ff5e7ap+0"),
             ("t0", "0x1.484eb0a1604c8p+2"),
             ("x1", "0x1.7f566418bc7e4p+0"),
             ("t1", "0x1.1f46e045a2534p+2"),
-            ("lambda", "0x1.d6c9c508550d1p-1"),
+            ("lambda", "0x1.bd1285280cc43p-1"),
             ("phi0", "0x1.2480f58816ea6p-3"),
             ("phi1", "0x1.1010504326246p-8"),
-            ("phi_comb", "0x1.f5ca079a3b613p-7"),
-            ("rhs", "0x1.f5ca079a3b64ep-7"),
+            ("phi_comb", "0x1.6d025d780d7e9p-6"),
+            ("rhs", "0x1.6d025d780d80ap-6"),
         ),
     ),
     "parabolic_almost_strict_hat_region": (
         "pass",
-        "-0x1.a1f391ba13678p-53",
+        "-0x1.1278c3719804dp-52",
         (
-            ("x0", "0x1.f41e0742dd360p-5"),
-            ("t0", "0x1.7ae046f6c1c8cp-1"),
-            ("x1", "0x1.119c0bf941702p-4"),
-            ("t1", "0x1.c59a60e125275p-1"),
-            ("lambda", "0x1.796aeab539ae2p-1"),
-            ("phi0", "0x1.4f60c48789cd2p-2"),
-            ("phi1", "0x1.3282a83924a82p-2"),
-            ("phi_comb", "0x1.399b164430a0ap-2"),
-            ("rhs", "0x1.399b164430a0bp-2"),
+            ("x0", "0x1.636e852490fe8p-2"),
+            ("t0", "0x1.0a22ac0ea15f9p-1"),
+            ("x1", "0x1.48fdbbcd58dcdp-1"),
+            ("t1", "0x1.c8066df71616ap+0"),
+            ("lambda", "0x1.5eff577157ffcp-1"),
+            ("phi0", "0x1.7a1b10103c466p-2"),
+            ("phi1", "0x1.987e59c3c0abep-3"),
+            ("phi_comb", "0x1.dd8af50d712afp-3"),
+            ("rhs", "0x1.dd8af50d712b1p-3"),
         ),
     ),
     "parabolic_plain_pass": (
         "pass",
-        "-0x1.473c2e7eff501p-50",
+        "-0x1.a5e4bb618fb45p-51",
         (
-            ("x0", "0x1.5d77a4554956cp-1"),
-            ("t0", "0x1.82cec3eeb18d0p-1"),
-            ("x1", "0x1.660cb71b67625p-1"),
-            ("t1", "0x1.8c4e9826f0dbap-1"),
-            ("lambda", "0x1.d679592b2bdacp-3"),
-            ("phi0", "0x1.2ab8fccb41b21p-4"),
-            ("phi1", "0x1.320f085c4bca8p-4"),
-            ("phi_comb", "0x1.2c686b39fe8bep-4"),
-            ("rhs", "0x1.2c686b39fe8c4p-4"),
+            ("x0", "0x1.6303a04a975f2p+0"),
+            ("t0", "0x1.816ebb79aeaa0p+0"),
+            ("x1", "0x1.32c188186e902p+0"),
+            ("t1", "0x1.f857348b43249p+0"),
+            ("lambda", "0x1.bc19c9eccf2f0p-4"),
+            ("phi0", "0x1.e6b1b2f174ae1p-4"),
+            ("phi1", "0x1.8b2b58e5a928fp-1"),
+            ("phi_comb", "0x1.84582ef317966p-3"),
+            ("rhs", "0x1.84582ef31796bp-3"),
         ),
     ),
     "parabolic_plain_violation": (
         "violation",
-        "-0x1.1da0e4f49bb1dp-3",
+        "-0x1.2ca0c801bbe5ep-24",
         (
-            ("x0", "-0x1.a62f5b6b5789ap+0"),
-            ("t0", "0x1.fc051b4191a4fp+1"),
-            ("x1", "0x1.a54a9742c5480p-3"),
-            ("t1", "0x1.44214330ac67cp+1"),
-            ("lambda", "0x1.0705de0a80ca4p-1"),
-            ("phi0", "0x1.185708a694917p+0"),
-            ("phi1", "0x1.89932653a1d84p+0"),
-            ("phi_comb", "0x1.1f2c799f04ba3p+0"),
-            ("rhs", "0x1.4db7545df3b63p+0"),
+            ("x0", "-0x1.32041b0085380p-6"),
+            ("t0", "0x1.f9d571d06de33p+1"),
+            ("x1", "-0x1.37540ced8d0c4p-6"),
+            ("t1", "0x1.f9ed8c04965cep+1"),
+            ("lambda", "0x1.e90c090d86df3p-1"),
+            ("phi0", "0x1.016d1fb59eb62p+0"),
+            ("phi1", "0x1.0179e2d0ce684p+0"),
+            ("phi_comb", "0x1.01794f280e99ep+0"),
+            ("rhs", "0x1.017950566a790p+0"),
         ),
     ),
     "parabolic_strict_off_spec": (
         "equality_off_spec",
-        "-0x1.0120f0e7425d5p-52",
+        "-0x1.b56c0ecbddfabp-53",
         (
             ("x0", "0x1.5978ffece5422p+0"),
             ("t0", "0x1.305d857c3b23cp+1"),
-            ("x1", "0x1.abb9c34d83d01p+0"),
+            ("x1", "0x1.abb9c34d83d00p+0"),
             ("t1", "0x1.d28cd93d47e76p+1"),
-            ("lambda", "0x1.cbc6be79d82f8p-1"),
+            ("lambda", "0x1.171ee3f79e414p-3"),
             ("phi0", "0x1.355ea46cd4f0ap-3"),
             ("phi1", "0x1.f3c0fd716197dp-4"),
-            ("phi_comb", "0x1.fdc0a792613c9p-4"),
-            ("rhs", "0x1.fdc0a792613cbp-4"),
+            ("phi_comb", "0x1.2ba580cbdb079p-3"),
+            ("rhs", "0x1.2ba580cbdb07ap-3"),
         ),
     ),
     "parabolic_strict_quadrature": (
         "pass",
-        "0x1.2ddee847d6e01p-26",
+        "0x1.f4a541c5da00cp-18",
         (
-            ("x0", "-0x1.d4fea39236150p-2"),
-            ("t0", "0x1.49b4d9a06d1ebp+1"),
-            ("x1", "-0x1.d4fea39236150p-2"),
-            ("t1", "0x1.49b4f13bd92f2p+1"),
-            ("lambda", "0x1.edba54960ce43p-1"),
-            ("phi0", "0x1.5611f793310c8p-2"),
-            ("phi1", "0x1.5611ec898d846p-2"),
-            ("phi_comb", "0x1.5611ecee64bfcp-2"),
-            ("rhs", "0x1.5611ec898d846p-2"),
+            ("x0", "0x1.4489885348246p+0"),
+            ("t0", "0x1.8e5c3d6519924p+1"),
+            ("x1", "0x1.447728098b7d8p+0"),
+            ("t1", "0x1.8e637f7dfba03p+1"),
+            ("lambda", "0x1.0abf107bfdeb8p-2"),
+            ("phi0", "0x1.1a332e22e77d4p-2"),
+            ("phi1", "0x1.1a353faa683e4p-2"),
+            ("phi_comb", "0x1.1a33b81bb3588p-2"),
+            ("rhs", "0x1.1a332e22e77d4p-2"),
         ),
     ),
     "spatial_plain_all_trivial": (
@@ -590,3 +624,23 @@ class TestPinnedReports:
     @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
     def test_report_bits(self, name):
         assert _report_bits(PINNED_CHECKS[name]()) == PINNED_BITS[name]
+
+
+def _pinned_bits_source() -> str:
+    """``PINNED_BITS`` for every case of ``PINNED_CHECKS``, as the source above."""
+    lines = ["PINNED_BITS = {"]
+    for name in sorted(PINNED_CHECKS):
+        verdict, margin, witness = _report_bits(PINNED_CHECKS[name]())
+        lines += [f'    "{name}": (', f'        "{verdict}",', f'        "{margin}",']
+        if witness is None:
+            lines.append("        None,")
+        else:
+            lines.append("        (")
+            lines += ["            (" + ", ".join(f'"{v}"' for v in row) + ")," for row in witness]
+            lines.append("        ),")
+        lines.append("    ),")
+    return "\n".join([*lines, "}"])
+
+
+if __name__ == "__main__":
+    print(_pinned_bits_source())
